@@ -1,13 +1,15 @@
-"""Engine scaling: the summary engine vs the exhaustive paths engine.
+"""Engine scaling: the sliced summary walk vs the exhaustive paths oracle.
 
-Two claims ride on these numbers (see ``docs/engine.md``):
+The engine (``summary`` below) walks a checker-aware slice with function
+summaries; the ``paths`` oracle is the same walk unsliced, selected by
+patching ``repro.mc.engine._PATHS_ORACLE``.  Two claims ride on these
+numbers (see ``docs/engine.md``):
 
 * **Corpus speedup** — checking the paper's five-protocol corpus with
-  the six state-machine checkers under ``--engine summary`` is several
-  times faster than under ``--engine paths``, with *byte-identical*
-  reports (the paths engine is the oracle).  Parse time is recorded
-  separately — both engines consume the same parsed programs, so the
-  ratio prices the analysis, not the frontend.  ``engine_seconds``
+  the six state-machine checkers is several times faster with the
+  engine than with the paths oracle, with *byte-identical* reports.
+  Parse time is recorded separately — both walks consume the same
+  parsed programs, so the ratio prices the analysis, not the frontend.  ``engine_seconds``
   counts time inside :func:`repro.mc.engine.run_machine` only (slicing,
   feasibility, and the walk itself); ``check_seconds`` adds the
   checkers' own applied-site counting around it.
@@ -31,6 +33,7 @@ import importlib
 import json
 import time
 from contextlib import contextmanager
+from unittest import mock
 
 from _timing import write_results
 
@@ -39,8 +42,8 @@ from repro.checkers.metal_sources import FIGURE_2
 from repro.flash.codegen import generate_protocol
 from repro.lang import clear_memo
 from repro.mc import clear_function_summaries
+from repro.mc import engine as mc_engine
 from repro.mc.engine import run_machine
-from repro.mc.summary import set_default_engine
 from repro.metal.parser import parse_metal
 from repro.metal.runtime import ReportSink
 from repro.obs.metrics import MetricsRegistry, activate_metrics
@@ -74,6 +77,11 @@ SWEEP_DEPTHS = tuple(range(4, 21, 2))
 SWEEP_PATHS_CAP = 2.0
 
 
+def _engine_mode(engine: str):
+    """Run the block under ``"paths"`` (the oracle) or ``"summary"``."""
+    return mock.patch.object(mc_engine, "_PATHS_ORACLE", engine == "paths")
+
+
 @contextmanager
 def _engine_stopwatch(acc: list):
     """Accumulate time spent inside ``run_machine`` into ``acc[0]``."""
@@ -105,8 +113,7 @@ def _corpus_pass(engine: str) -> tuple[dict, dict]:
     clear_memo()
     clear_function_summaries()
     gc.collect()
-    previous = set_default_engine(engine)
-    try:
+    with _engine_mode(engine):
         parse_seconds = 0.0
         programs = []
         for name in PROTOCOLS:
@@ -133,8 +140,6 @@ def _corpus_pass(engine: str) -> tuple[dict, dict]:
                     }
                 output[name] = per_checker
             check_seconds = time.perf_counter() - start
-    finally:
-        set_default_engine(previous)
 
     timings = {
         "parse_seconds": round(parse_seconds, 4),
@@ -174,9 +179,11 @@ def _sweep() -> dict:
             program = Program({"sweep.c": _sweep_source(depth)})
             cfg = program.cfg(program.functions()[0])
             sink = ReportSink()
-            start = time.perf_counter()
-            run_machine(sm, cfg, sink, feasibility=True, engine=engine)
-            row[f"{engine}_seconds"] = round(time.perf_counter() - start, 5)
+            with _engine_mode(engine):
+                start = time.perf_counter()
+                run_machine(sm, cfg, sink, feasibility=True)
+                row[f"{engine}_seconds"] = round(
+                    time.perf_counter() - start, 5)
             row[f"{engine}_reports"] = len(sink.reports)
             if engine == "paths" and row["paths_seconds"] > SWEEP_PATHS_CAP:
                 paths_live = False

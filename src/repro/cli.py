@@ -33,8 +33,9 @@ Subcommands:
     ``confirmed``/``unmanifested`` plus ``checker gap`` rows for
     dynamic violations nothing static predicted (docs/campaign.md).
 
-``mc-check list``
-    List registered checkers with their Table 7 metadata.
+``mc-check checkers`` (alias ``list``)
+    List the checkers a run would dispatch — builtin and pack-provided —
+    with their pack, version, and Table 7 metacode size.
 
 ``mc-check stats METRICS.json``
     Render a ``--metrics-out`` document as a human-readable table.
@@ -77,10 +78,11 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .checkers import all_checkers, checker_names, get_checker
+from .checkers import checker_names, get_checker
 from .errors import ReproError
 from .lang import annotate, parse
 from .mc import (
@@ -115,20 +117,6 @@ def _load_program(paths: list[str], spec_path: str | None = None) -> Program:
     return Program(read_sources(paths), info=info)
 
 
-def _cache_from_args(args, budgeted: bool):
-    """The run's :class:`ResultCache`, or ``None`` when disabled.
-
-    Budgeted runs bypass the cache: their results depend on the limits
-    in force, not just on content, so they are neither read nor stored.
-    """
-    no_cache = getattr(args, "no_cache", False) or bool(
-        os.environ.get("MC_CHECK_NO_CACHE"))
-    if no_cache or budgeted:
-        return None
-    cache_dir = getattr(args, "cache_dir", None)
-    return ResultCache(Path(cache_dir) if cache_dir else default_cache_dir())
-
-
 def _policy_from_args(args, stop_flag: StopFlag) -> SupervisorPolicy:
     """Supervision policy for check/metal from their shared flags."""
     fault_plan = None
@@ -144,39 +132,6 @@ def _policy_from_args(args, stop_flag: StopFlag) -> SupervisorPolicy:
     if max_retries is not None:
         policy.max_retries = max_retries
     return policy
-
-
-def _journal_config(args) -> dict:
-    """The analysis settings recorded in (and checked against) a run
-    journal's header: resuming under a different engine, feasibility,
-    or frontend would mix payloads from two configurations."""
-    return {
-        "engine": getattr(args, "engine", "summary"),
-        "feasibility": getattr(args, "feasibility", "on"),
-        "frontend": getattr(args, "frontend", "strict"),
-    }
-
-
-def _journal_from_args(args, config: dict | None = None):
-    """The run's journal: resumed from ``--resume``, else freshly
-    created under ``<cache-dir>/runs``.  ``None`` (the run is simply
-    not resumable) when the directory is unwritable or ``--no-cache``
-    asked for no disk writes; an explicit ``--resume`` always wins.
-
-    ``config`` overrides the header settings recorded in (and checked
-    on resume against) the journal — campaign runs record the campaign
-    fingerprint instead of the analysis-engine settings."""
-    runs_dir = default_runs_dir(getattr(args, "cache_dir", None))
-    if config is None:
-        config = _journal_config(args)
-    resume = getattr(args, "resume", None)
-    if resume:
-        return RunJournal.resume(runs_dir, resume, config)
-    no_cache = getattr(args, "no_cache", False) or bool(
-        os.environ.get("MC_CHECK_NO_CACHE"))
-    if no_cache:
-        return None
-    return RunJournal.create(runs_dir, config=config)
 
 
 def _interrupted(run, journal, json_mode: bool = False) -> int:
@@ -215,25 +170,6 @@ def _observation_from_args(args, metrics: bool = True):
                        progress=progress)
 
 
-def _finalize_observation(observation, run) -> None:
-    """Merge the trace, write metrics, and summarise on stderr."""
-    if observation is None:
-        return
-    out = observation.finalize(run)
-    stats = out.get("trace")
-    if stats is not None:
-        line = (f"trace: {stats['spans']} span(s), "
-                f"{stats['items_covered']} item(s) -> "
-                f"{observation.trace_path}")
-        if stats.get("orphan_spans"):
-            line += f", {stats['orphan_spans']} orphan"
-        if stats.get("superseded_spans"):
-            line += f", {stats['superseded_spans']} superseded"
-        print(line, file=sys.stderr)
-    if observation.metrics_path is not None:
-        print(f"metrics: wrote {observation.metrics_path}", file=sys.stderr)
-
-
 def _ledger_path_from_args(args):
     from .obs.ledger import ledger_path
     cache_dir = getattr(args, "cache_dir", None)
@@ -256,34 +192,121 @@ def _ledger_counters(observation, run) -> dict:
     return dict(scratch.metrics.counters)
 
 
-def _append_ledger(args, *, command: str, files, config: dict, run,
-                   journal, observation, wall: float, exit_code: int,
-                   doc: dict, degraded: bool = False) -> None:
-    """Record one finished run in ``<cache-dir>/ledger.jsonl``.
+class _Fleet:
+    """The set-up ``check``, ``metal`` and ``campaign`` share around one
+    fleet run, in the order the operator sees its effects.
 
-    Pure output: derived entirely from the completed run.  Skipped when
-    there is no journal (``--no-cache`` contracts to zero disk writes,
-    and without a journal there is no run id to key the record by).
-    Append failures are silently absorbed by :class:`RunLedger`.
+    Construction loads the checker packs, so a broken pack fails the run
+    before anything else.  :meth:`open` builds the worker count, the
+    result cache, the stop flag and supervision policy, the observation
+    and the run journal, announcing ``run: id=`` on stderr.
+    :meth:`running` wraps the run itself, :meth:`finish` finalizes its
+    observation, and :meth:`record` appends it to the run ledger.
     """
-    if journal is None or journal.run_id is None:
-        return
-    no_cache = getattr(args, "no_cache", False) or bool(
-        os.environ.get("MC_CHECK_NO_CACHE"))
-    if no_cache:
-        return
-    from .obs.ledger import RunLedger, make_record, reports_from_doc
-    ledger = RunLedger(_ledger_path_from_args(args))
-    trace = getattr(args, "trace", None)
-    ledger.append(make_record(
-        run_id=journal.run_id, command=command, files=files,
-        config=config, wall=wall, exit_code=exit_code,
-        reports=reports_from_doc(doc),
-        counters=_ledger_counters(observation, run),
-        interrupted=getattr(run, "interrupted", False),
-        degraded=degraded,
-        trace=str(Path(trace).resolve()) if trace else None,
-    ))
+
+    def __init__(self, args):
+        self.args = args
+        self.pack_dirs = _packs_from_args(args)
+
+    def open(self, *, budgeted: bool = False,
+             journal_config: dict | None = None,
+             metrics: bool = True) -> None:
+        """``budgeted`` runs bypass the cache: their results depend on
+        the limits in force, not just on content.  ``journal_config``
+        replaces the analysis settings recorded in (and checked on
+        ``--resume`` against) the journal header; ``metrics=False``
+        leaves ``--metrics-out`` to the caller.
+
+        The journal is resumed from ``--resume``, else created under
+        ``<cache-dir>/runs``.  There is none (the run is simply not
+        resumable) when the directory is unwritable or ``--no-cache``
+        (whose default reads ``$MC_CHECK_NO_CACHE``) asked for no disk
+        writes; an explicit ``--resume`` always wins."""
+        args = self.args
+        self.jobs = resolve_jobs(args.jobs)
+        self.cache = None
+        if not (args.no_cache or budgeted):
+            self.cache = ResultCache(Path(args.cache_dir) if args.cache_dir
+                                     else default_cache_dir())
+        self.stop_flag = StopFlag()
+        self.policy = _policy_from_args(args, self.stop_flag)
+        self.observation = _observation_from_args(args, metrics)
+        if journal_config is None:
+            journal_config = {"feasibility": args.feasibility,
+                              "frontend": args.frontend}
+        runs_dir = default_runs_dir(args.cache_dir)
+        if args.resume:
+            self.journal = RunJournal.resume(runs_dir, args.resume,
+                                             journal_config)
+        elif args.no_cache:
+            self.journal = None
+        else:
+            self.journal = RunJournal.create(runs_dir, config=journal_config)
+        if self.journal is not None:
+            print(f"run: id={self.journal.run_id}", file=sys.stderr,
+                  flush=True)
+
+    @contextmanager
+    def running(self):
+        """Drain gracefully on SIGINT/SIGTERM, time the wall clock, and
+        close the journal however the run ends."""
+        wall0 = time.perf_counter()
+        try:
+            with graceful_shutdown(self.stop_flag):
+                yield
+        finally:
+            if self.journal is not None:
+                self.journal.close()
+        self.wall = time.perf_counter() - wall0
+
+    def finish(self, run) -> None:
+        """Merge the trace, write metrics, and summarise on stderr."""
+        observation = self.observation
+        if observation is None:
+            return
+        out = observation.finalize(run)
+        stats = out.get("trace")
+        if stats is not None:
+            line = (f"trace: {stats['spans']} span(s), "
+                    f"{stats['items_covered']} item(s) -> "
+                    f"{observation.trace_path}")
+            if stats.get("orphan_spans"):
+                line += f", {stats['orphan_spans']} orphan"
+            if stats.get("superseded_spans"):
+                line += f", {stats['superseded_spans']} superseded"
+            print(line, file=sys.stderr)
+        if observation.metrics_path is not None:
+            print(f"metrics: wrote {observation.metrics_path}",
+                  file=sys.stderr)
+
+    def record(self, *, command: str, config: dict, run, exit_code: int,
+               doc: dict, degraded: bool = False,
+               counters: dict | None = None) -> None:
+        """Record the finished run in ``<cache-dir>/ledger.jsonl``.
+
+        Pure output: derived entirely from the completed run.  Skipped
+        when there is no journal (``--no-cache`` contracts to zero disk
+        writes, and without a journal there is no run id to key the
+        record by).  Append failures are silently absorbed by
+        :class:`RunLedger`.  ``counters`` replaces the run's own counter
+        snapshot (campaigns record their cross-tab counters).
+        """
+        journal = self.journal
+        if journal is None or journal.run_id is None or self.args.no_cache:
+            return
+        from .obs.ledger import RunLedger, make_record, reports_from_doc
+        ledger = RunLedger(_ledger_path_from_args(self.args))
+        trace = self.args.trace
+        if counters is None:
+            counters = _ledger_counters(self.observation, run)
+        ledger.append(make_record(
+            run_id=journal.run_id, command=command, files=self.args.files,
+            config=config, wall=self.wall, exit_code=exit_code,
+            reports=reports_from_doc(doc), counters=counters,
+            interrupted=getattr(run, "interrupted", False),
+            degraded=degraded,
+            trace=str(Path(trace).resolve()) if trace else None,
+        ))
 
 
 def _report_doc(run, min_confidence=None) -> dict:
@@ -327,41 +350,25 @@ def _validate_checker_names(names) -> None:
 
 
 def cmd_check(args) -> int:
-    pack_dirs = _packs_from_args(args)
+    fleet = _Fleet(args)
     _validate_checker_names(args.checker)
     names = args.checker or None
-    keep_going = getattr(args, "keep_going", False)
-    json_mode = getattr(args, "format", "text") == "json"
-    feasibility = getattr(args, "feasibility", "on") == "on"
-    frontend = getattr(args, "frontend", "strict")
-    engine = getattr(args, "engine", "summary")
-    min_confidence = getattr(args, "min_confidence", None)
-    jobs = resolve_jobs(args.jobs)
-    budget_seconds = getattr(args, "budget_seconds", None)
-    cache = _cache_from_args(args, budgeted=budget_seconds is not None)
+    json_mode = args.format == "json"
+    feasibility = args.feasibility == "on"
+    min_confidence = args.min_confidence
+    budget_seconds = args.budget_seconds
+    fleet.open(budgeted=budget_seconds is not None)
     deadline = (time.time() + budget_seconds
                 if budget_seconds is not None else None)
-    stop_flag = StopFlag()
-    policy = _policy_from_args(args, stop_flag)
-    observation = _observation_from_args(args)
-    journal = _journal_from_args(args)
-    if journal is not None:
-        print(f"run: id={journal.run_id}", file=sys.stderr, flush=True)
-    wall0 = time.perf_counter()
-    try:
-        with graceful_shutdown(stop_flag):
-            run = check_files(
-                args.files, names=names, spec_path=getattr(args, "spec", None),
-                jobs=jobs, cache=cache, keep_going=keep_going,
-                deadline=deadline, journal=journal, policy=policy,
-                observation=observation, feasibility=feasibility,
-                frontend=frontend, engine=engine, pack_dirs=pack_dirs,
-            )
-    finally:
-        if journal is not None:
-            journal.close()
-    wall = time.perf_counter() - wall0
-    _finalize_observation(observation, run)
+    with fleet.running():
+        run = check_files(
+            args.files, names=names, spec_path=args.spec, jobs=fleet.jobs,
+            cache=fleet.cache, keep_going=args.keep_going, deadline=deadline,
+            journal=fleet.journal, policy=fleet.policy,
+            observation=fleet.observation, feasibility=feasibility,
+            frontend=args.frontend, pack_dirs=fleet.pack_dirs,
+        )
+    fleet.finish(run)
     from .mc import filter_by_confidence, score_run
     scores = score_run(run)
     failures = 0
@@ -398,21 +405,20 @@ def cmd_check(args) -> int:
             print("no errors found")
         print(run.summary_line())
     if run.interrupted:
-        code = _interrupted(run, journal, json_mode)
-    elif _hard_quarantines(quarantines, frontend):
+        code = _interrupted(run, fleet.journal, json_mode)
+    elif _hard_quarantines(quarantines, args.frontend):
         code = EXIT_INTERNAL
     else:
         code = EXIT_BUGS if failures else EXIT_CLEAN
-    _append_ledger(
-        args, command="check", files=args.files,
-        config={"command": "check", "engine": engine,
-                "feasibility": feasibility, "frontend": frontend,
-                "jobs": jobs, "checkers": sorted(names or []),
-                "keep_going": keep_going,
+    fleet.record(
+        command="check",
+        config={"command": "check", "feasibility": feasibility,
+                "frontend": args.frontend, "jobs": fleet.jobs,
+                "checkers": sorted(names or []),
+                "keep_going": args.keep_going,
                 "min_confidence": min_confidence,
                 "packs": _pack_config_labels()},
-        run=run, journal=journal, observation=observation, wall=wall,
-        exit_code=code, doc=doc, degraded=degraded)
+        run=run, exit_code=code, doc=doc, degraded=degraded)
     return code
 
 
@@ -429,41 +435,21 @@ def _hard_quarantines(quarantines, frontend: str) -> list:
 
 
 def cmd_metal(args) -> int:
-    _packs_from_args(args)  # validate --pack-dir; metal runs one machine
-    keep_going = getattr(args, "keep_going", False)
-    json_mode = getattr(args, "format", "text") == "json"
-    feasibility = getattr(args, "feasibility", "on") == "on"
-    frontend = getattr(args, "frontend", "strict")
-    engine = getattr(args, "engine", "summary")
-    min_confidence = getattr(args, "min_confidence", None)
-    jobs = resolve_jobs(args.jobs)
-    budget_steps = getattr(args, "budget_steps", None)
-    budget_paths = getattr(args, "budget_paths", None)
-    budget_seconds = getattr(args, "budget_seconds", None)
-    budgeted = (budget_steps is not None or budget_paths is not None
-                or budget_seconds is not None)
-    cache = _cache_from_args(args, budgeted=budgeted)
-    stop_flag = StopFlag()
-    policy = _policy_from_args(args, stop_flag)
-    observation = _observation_from_args(args)
-    journal = _journal_from_args(args)
-    if journal is not None:
-        print(f"run: id={journal.run_id}", file=sys.stderr, flush=True)
-    wall0 = time.perf_counter()
-    try:
-        with graceful_shutdown(stop_flag):
-            run = metal_files(
-                args.checker, args.files, jobs=jobs, cache=cache,
-                keep_going=keep_going, budget_steps=budget_steps,
-                budget_paths=budget_paths, budget_seconds=budget_seconds,
-                journal=journal, policy=policy, observation=observation,
-                feasibility=feasibility, frontend=frontend, engine=engine,
-            )
-    finally:
-        if journal is not None:
-            journal.close()
-    wall = time.perf_counter() - wall0
-    _finalize_observation(observation, run)
+    fleet = _Fleet(args)  # validates --pack-dir; metal runs one machine
+    json_mode = args.format == "json"
+    feasibility = args.feasibility == "on"
+    min_confidence = args.min_confidence
+    fleet.open(budgeted=(args.budget_steps is not None
+                         or args.budget_seconds is not None))
+    with fleet.running():
+        run = metal_files(
+            args.checker, args.files, jobs=fleet.jobs, cache=fleet.cache,
+            keep_going=args.keep_going, budget_steps=args.budget_steps,
+            budget_seconds=args.budget_seconds, journal=fleet.journal,
+            policy=fleet.policy, observation=fleet.observation,
+            feasibility=feasibility, frontend=args.frontend,
+        )
+    fleet.finish(run)
     total = 0
     quarantines = []
     degraded = False
@@ -490,20 +476,18 @@ def cmd_metal(args) -> int:
                      if budget and budget.exhausted else ""))
         print(run.summary_line())
     if run.interrupted:
-        code = _interrupted(run, journal, json_mode)
-    elif _hard_quarantines(quarantines, frontend):
+        code = _interrupted(run, fleet.journal, json_mode)
+    elif _hard_quarantines(quarantines, args.frontend):
         code = EXIT_INTERNAL
     else:
         code = EXIT_BUGS if total else EXIT_CLEAN
-    _append_ledger(
-        args, command="metal", files=args.files,
+    fleet.record(
+        command="metal",
         config={"command": "metal", "checker": args.checker,
-                "engine": engine, "feasibility": feasibility,
-                "frontend": frontend, "jobs": jobs,
-                "keep_going": keep_going,
+                "feasibility": feasibility, "frontend": args.frontend,
+                "jobs": fleet.jobs, "keep_going": args.keep_going,
                 "min_confidence": min_confidence},
-        run=run, journal=journal, observation=observation, wall=wall,
-        exit_code=code, doc=doc, degraded=degraded)
+        run=run, exit_code=code, doc=doc, degraded=degraded)
     return code
 
 
@@ -615,9 +599,9 @@ def cmd_campaign(args) -> int:
     )
     from .campaign.crosstab import reports_from_json, reports_from_run
 
-    json_mode = getattr(args, "format", "text") == "json"
-    pack_dirs = _packs_from_args(args)
-    spec_path = getattr(args, "spec", None)
+    json_mode = args.format == "json"
+    fleet = _Fleet(args)
+    spec_path = args.spec
     program = _load_program(args.files, spec_path)
     functions = {f.name: f for f in program.functions()}
     dispatch = _parse_dispatch(args.dispatch, functions)
@@ -648,61 +632,43 @@ def cmd_campaign(args) -> int:
         messages=args.messages, max_fault_rules=args.max_fault_rules,
         **extra,
     )
-    jobs = resolve_jobs(args.jobs)
-    cache = _cache_from_args(args, budgeted=False)
-    stop_flag = StopFlag()
-    policy = _policy_from_args(args, stop_flag)
+    campaign_fp = hashlib.sha256(spec.to_json().encode()).hexdigest()[:16]
     # Campaign metrics come from the finished cross-tab (below), so the
     # Observation covers --trace/--progress only.
-    observation = _observation_from_args(args, metrics=False)
-    spec_json = spec.to_json()
-    journal = _journal_from_args(args, config={
-        "mode": "campaign",
-        "campaign": hashlib.sha256(spec_json.encode()).hexdigest()[:16],
-    })
-    if journal is not None:
-        print(f"run: id={journal.run_id}", file=sys.stderr, flush=True)
+    fleet.open(journal_config={"mode": "campaign", "campaign": campaign_fp},
+               metrics=False)
+    with fleet.running():
+        # -- static side: prior report doc, or an in-process check -----
+        if args.report:
+            try:
+                doc = json.loads(Path(args.report).read_text())
+            except OSError as exc:
+                raise ReproError(
+                    f"cannot read {args.report}: {exc}") from None
+            except ValueError as exc:
+                raise ReproError(
+                    f"{args.report} is not JSON: {exc}") from None
+            static_reports = reports_from_json(doc)
+        else:
+            static_run = check_files(
+                args.files, spec_path=spec_path, jobs=fleet.jobs,
+                cache=fleet.cache, keep_going=True,
+                feasibility=args.feasibility == "on",
+                frontend=args.frontend, pack_dirs=fleet.pack_dirs)
+            static_reports = reports_from_run(static_run)
+        print(f"static: {len(static_reports)} error report(s) "
+              f"to cross-validate", file=sys.stderr)
 
-    wall0 = time.perf_counter()
-    try:
-        with graceful_shutdown(stop_flag):
-            # -- static side: prior report doc, or an in-process check -
-            if getattr(args, "report", None):
-                try:
-                    doc = json.loads(Path(args.report).read_text())
-                except OSError as exc:
-                    raise ReproError(
-                        f"cannot read {args.report}: {exc}") from None
-                except ValueError as exc:
-                    raise ReproError(
-                        f"{args.report} is not JSON: {exc}") from None
-                static_reports = reports_from_json(doc)
-            else:
-                static_run = check_files(
-                    args.files, spec_path=spec_path, jobs=jobs, cache=cache,
-                    keep_going=True,
-                    feasibility=getattr(args, "feasibility", "on") == "on",
-                    frontend=getattr(args, "frontend", "strict"),
-                    engine=getattr(args, "engine", "summary"),
-                    pack_dirs=pack_dirs)
-                static_reports = reports_from_run(static_run)
-            print(f"static: {len(static_reports)} error report(s) "
-                  f"to cross-validate", file=sys.stderr)
-
-            # -- dynamic side: the campaign over the fleet -------------
-            camp = run_campaign(spec, jobs=jobs, cache=cache,
-                                journal=journal, policy=policy,
-                                observation=observation)
-    finally:
-        if journal is not None:
-            journal.close()
-    wall = time.perf_counter() - wall0
-    _finalize_observation(observation, camp)
+        # -- dynamic side: the campaign over the fleet -----------------
+        camp = run_campaign(spec, jobs=fleet.jobs, cache=fleet.cache,
+                            journal=fleet.journal, policy=fleet.policy,
+                            observation=fleet.observation)
+    fleet.finish(camp)
     print(camp.summary_line(), file=sys.stderr)
     if camp.interrupted:
         # No cross-tab for a partial campaign: verdicts over a run
         # subset would contradict the byte-identity guarantee.
-        return _interrupted(camp, journal, json_mode)
+        return _interrupted(camp, fleet.journal, json_mode)
     if not camp.complete:
         for slot in camp.incomplete_shards:
             print(f"mc-check: shard {slot['shard']} incomplete: "
@@ -715,11 +681,11 @@ def cmd_campaign(args) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(render_crosstab(crosstab))
-    out = getattr(args, "out", None)
+    out = args.out
     if out:
         Path(out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"cross-tab: wrote {out}", file=sys.stderr)
-    metrics_out = getattr(args, "metrics_out", None)
+    metrics_out = args.metrics_out
     if metrics_out:
         # Metrics are derived from the finished cross-tab — observing
         # a campaign cannot change one byte of its results.
@@ -732,29 +698,15 @@ def cmd_campaign(args) -> int:
             json.dumps(registry.snapshot(), indent=2) + "\n")
         print(f"metrics: wrote {metrics_out}", file=sys.stderr)
     code = EXIT_BUGS if crosstab.counters["crashes"] else EXIT_CLEAN
-    ledger_counters = {f"campaign.{name}": value
-                       for name, value in sorted(crosstab.counters.items())}
-    _append_ledger(
-        args, command="campaign", files=args.files,
-        config={"command": "campaign",
-                "campaign": hashlib.sha256(spec_json.encode())
-                .hexdigest()[:16],
-                "jobs": jobs, "runs": spec.runs,
+    fleet.record(
+        command="campaign",
+        config={"command": "campaign", "campaign": campaign_fp,
+                "jobs": fleet.jobs, "runs": spec.runs,
                 "shard_size": spec.shard_size, "seed": spec.seed},
-        run=camp, journal=journal,
-        observation=_StaticCounters(ledger_counters),
-        wall=wall, exit_code=code, doc=doc)
+        run=camp, exit_code=code, doc=doc,
+        counters={f"campaign.{name}": value
+                  for name, value in sorted(crosstab.counters.items())})
     return code
-
-
-class _StaticCounters:
-    """Adapter handing :func:`_append_ledger` a fixed counter map (the
-    campaign's cross-tab counters) through the observation interface."""
-
-    def __init__(self, counters: dict):
-        from .obs import MetricsRegistry
-        self.metrics = MetricsRegistry()
-        self.metrics.counters.update(counters)
 
 
 def cmd_generate(args) -> int:
@@ -825,13 +777,6 @@ def cmd_paths(args) -> int:
     average = total_len / total_paths if total_paths else 0.0
     print(f"{'TOTAL':32s} {total_paths:7d} {average:7.1f} {longest:6d}")
     print(f"{program.loc()} non-blank lines in {len(args.files)} file(s)")
-    return 0
-
-
-def cmd_list(args) -> int:
-    print(f"{'checker':16s} {'metal LOC':>9s}")
-    for checker in all_checkers():
-        print(f"{checker.name:16s} {checker.metal_loc:9d}")
     return 0
 
 
@@ -1117,15 +1062,6 @@ def _add_fleet_flags(parser: argparse.ArgumentParser) -> None:
                              "readable document (report ids + path "
                              "provenance, consumed by 'mc-check explain') "
                              "on stdout and routes all chatter to stderr")
-    parser.add_argument("--engine", choices=["paths", "summary"],
-                        default="summary",
-                        help="path exploration engine: 'summary' slices "
-                             "each CFG to checker-relevant blocks, merges "
-                             "states at join points, and replays cached "
-                             "per-function summaries; 'paths' is the "
-                             "original exhaustive per-path walk (the "
-                             "equivalence oracle; see docs/engine.md; "
-                             "default: summary)")
     parser.add_argument("--feasibility", choices=["on", "off"], default="on",
                         help="path-feasibility analysis: prune branch edges "
                              "whose conditions contradict facts already "
@@ -1196,8 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_metal.add_argument("--budget-steps", type=int, default=None,
                          help="stop exploring after this many machine steps "
                               "(partial results, marked DEGRADED)")
-    p_metal.add_argument("--budget-paths", type=int, default=None,
-                         help="path cap for the naive engine fallback")
     p_metal.add_argument("--budget-seconds", type=float, default=None,
                          help="wall-clock cap for the whole analysis "
                               "(a single run-wide deadline, shared by all "
@@ -1300,15 +1234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_paths.add_argument("files", nargs="+")
     p_paths.set_defaults(func=cmd_paths)
 
-    p_list = sub.add_parser("list", help="list registered checkers")
-    p_list.set_defaults(func=cmd_list)
-
     p_checkers = sub.add_parser(
-        "checkers",
+        "checkers", aliases=["list"],
         help="enumerate builtin + pack checkers with the pack and "
              "version each belongs to (what a run would dispatch)")
-    p_checkers.add_argument("--list", action="store_true",
-                            help="list checkers (the default action)")
     p_checkers.add_argument("--format", choices=["text", "json"],
                             default="text")
     p_checkers.add_argument("--pack-dir", action="append", default=None,

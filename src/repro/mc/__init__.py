@@ -18,14 +18,8 @@ from .cache import (
     sink_to_payload,
     work_item_key,
 )
-from .engine import check_function, check_unit, run_machine, run_machine_naive
-from .summary import (
-    CfgSlice,
-    MachineFilter,
-    default_engine,
-    set_default_engine,
-    slice_for,
-)
+from .engine import check_function, check_unit, run_machine
+from .summary import CfgSlice, MachineFilter, slice_for
 from .feasibility import (
     Contradiction,
     FactsView,
@@ -71,14 +65,13 @@ from .report import (
 )
 
 __all__ = [
-    "check_function", "check_unit", "run_machine", "run_machine_naive",
+    "check_function", "check_unit", "run_machine",
     "find_unfollowed", "find_unguarded", "is_call_to", "quarantining",
     "bottom_up", "walk_paths",
     "Budget", "Quarantine",
     "AnalysisMemo", "FunctionSummary", "FunctionSummaryStore",
-    "CfgSlice", "MachineFilter", "default_engine", "set_default_engine",
-    "slice_for", "clear_function_summaries", "function_fingerprint",
-    "function_summaries",
+    "CfgSlice", "MachineFilter", "slice_for", "clear_function_summaries",
+    "function_fingerprint", "function_summaries",
     "CacheStats", "ResultCache", "checker_fingerprint", "default_cache_dir",
     "engine_fingerprint", "result_from_payload", "result_to_payload",
     "sink_from_payload", "sink_to_payload",

@@ -45,7 +45,8 @@ from .resilience import Quarantine
 #: v5: summary engine — ``config_fp`` carries ``engine=paths|summary``
 #: so switching ``--engine`` can never replay the other mode's entries,
 #: and the run journal header records the run's configuration.
-SCHEMA_VERSION = 5
+#: v6: one engine — ``config_fp`` drops ``engine=``.
+SCHEMA_VERSION = 6
 
 
 # -- fingerprints ------------------------------------------------------------

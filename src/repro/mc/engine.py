@@ -4,20 +4,20 @@
 path of a function's CFG.  Like xgcc, it memoizes on ``(block, state)``
 pairs: once a machine has entered a block in a given state, re-entering
 in the same state cannot produce new behaviour, so whole families of
-exponentially many paths are covered in linear work.  The
-:func:`run_machine_naive` variant enumerates paths explicitly and exists
-for the state-cache ablation benchmark (DESIGN.md §5).
+exponentially many paths are covered in linear work.
 
-Two engine modes share this walker (``--engine``, docs/engine.md):
+The walk runs over a checker-aware slice of the CFG
+(:mod:`repro.mc.summary`): per-event candidate nodes, dead-tail
+merging, whole-function skipping, and reusable per-function summaries
+(:class:`repro.mc.cache.FunctionSummaryStore`).  The unsliced walk is
+kept as a test oracle only: setting :data:`_PATHS_ORACLE` swaps in
+:class:`_IdentitySlice`, and the differential tests hold reports,
+suppressed reports, provenance, and confidence byte-identical between
+the two (docs/engine.md).
 
-* ``paths`` — the walk exactly as described above; the oracle.
-* ``summary`` (default) — the same walk over a checker-aware slice
-  (:mod:`repro.mc.summary`): per-event candidate nodes, dead-tail
-  merging, whole-function skipping, and reusable per-function summaries
-  (:class:`repro.mc.cache.FunctionSummaryStore`).  Reports, suppressed
-  reports, provenance, and confidence are byte-identical to ``paths``;
-  work counters and budget charging are not (a budgeted run charges
-  only the steps it actually performs).
+:func:`run_machine_naive` enumerates paths explicitly, with no state
+cache; it exists for the property tests and the state-cache ablation
+benchmark (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -38,9 +38,42 @@ from .cache import FunctionSummary, function_summaries
 from .resilience import Budget, Quarantine
 
 
-def _event_nodes(event: ast.Node):
-    """The node stream an event contributes: itself plus subtrees, pre-order."""
-    return event.walk()
+#: Test-only: when True, :func:`run_machine` walks the unsliced CFG
+#: (:class:`_IdentitySlice`, no summary store) — the paths oracle the
+#: differential tests compare against.  Tests flip it with
+#: ``unittest.mock.patch.object``; it is read per call, so it reaches
+#: checkers that imported ``run_machine`` directly, in-process only.
+_PATHS_ORACLE = False
+
+
+class _IdentitySlice:
+    """The paths oracle's slice: every node of every event is stepped.
+
+    Independent of the slicer on purpose — nodes come from
+    ``event.walk()`` and opaque regions from its own scan, never from
+    :func:`repro.mc.summary.event_index` — and nothing is skipped: no
+    dead tails, no whole-function skip, no sliced-out nodes to charge.
+    """
+
+    def __init__(self):
+        self._opaque: dict[int, bool] = {}
+
+    def candidates(self, event: ast.Node):
+        return event.walk()
+
+    def event_opaque(self, event: ast.Node) -> bool:
+        cached = self._opaque.get(id(event))
+        if cached is None:
+            cached = self._opaque[id(event)] = any(
+                isinstance(n, (ast.OpaqueStmt, ast.OpaqueExpr))
+                for n in event.walk())
+        return cached
+
+    def skipped_nodes(self, event: ast.Node) -> int:
+        return 0
+
+    def skip_edge(self, edge) -> bool:
+        return False
 
 
 class _OutOfBudget(Exception):
@@ -60,9 +93,9 @@ class _Run:
     """
 
     def __init__(self, sm: StateMachine, cfg: Cfg, sink: ReportSink,
-                 budget: Optional[Budget] = None,
-                 feas: Optional["_feas.FunctionFeasibility"] = None,
-                 cfg_slice: Optional["_summary.CfgSlice"] = None):
+                 budget: Optional[Budget],
+                 feas: Optional["_feas.FunctionFeasibility"],
+                 cfg_slice):
         self.sm = sm
         self.cfg = cfg
         self.sink = sink
@@ -71,7 +104,8 @@ class _Run:
         # Feasibility: None when pruning is off for this run.
         self.feas = feas
         self.current_store: Optional[_feas.Store] = None
-        # Summary engine: the checker-aware slice, None in paths mode.
+        # The machine's slice of the CFG (an _IdentitySlice for the
+        # paths oracle and the naive enumerator).
         self.cfg_slice = cfg_slice
         # Work counters (see class docstring).
         self.steps = 0
@@ -97,17 +131,7 @@ class _Run:
         # opaque (unparsed) region — reports fired past that point are
         # held back by :meth:`opaque_gate`.
         self.path_opaque = False
-        self._opaque_cache: dict[int, bool] = {}
         self._suppressed_before = len(sink.suppressed)
-
-    def event_has_opaque(self, event: ast.Node) -> bool:
-        """Does this (shared) event contain an opaque node?  Memoized."""
-        cached = self._opaque_cache.get(id(event))
-        if cached is None:
-            cached = any(isinstance(n, (ast.OpaqueStmt, ast.OpaqueExpr))
-                         for n in event.walk())
-            self._opaque_cache[id(event)] = cached
-        return cached
 
     def opaque_gate(self, report) -> Optional[str]:
         """``ReportSink.report_gate`` hook: suppress on opaque paths."""
@@ -130,55 +154,27 @@ class _Run:
     def run_block_events(self, block, state: str) -> tuple[str, bool]:
         """Feed one block's events through the machine.
 
-        Returns ``(state_after, stopped)``.  With feasibility on, the
-        abstract store is advanced across each event *after* the machine
-        has seen it, so checker actions observe the facts established by
-        prior events on the path.
+        Returns ``(state_after, stopped)``.  Only the slice's candidate
+        nodes are stepped (any other step is a proven no-op, see
+        repro.mc.summary), but every event is visited in order, so
+        ordinals, opaque poisoning, and the feasibility transfer match
+        the unsliced walk.  With feasibility on, the abstract store is
+        advanced across each event *after* the machine has seen it, so
+        checker actions observe the facts established by prior events on
+        the path.
         """
         cfg_slice = self.cfg_slice
-        if cfg_slice is None:
-            for ordinal, event in enumerate(block.events):
-                self.current_ordinal = ordinal
-                if not self.path_opaque and self.event_has_opaque(event):
-                    # Poison the path *before* stepping the machine over
-                    # the event, so a rule firing on the opaque region
-                    # itself is already held back.
-                    self.path_opaque = True
-                for node in _event_nodes(event):
-                    if (self.budget is not None
-                            and not self.budget.charge_step()):
-                        raise _OutOfBudget()
-                    self.steps += 1
-                    result = self.sm.step(state, node, self.ctx_factory)
-                    if result.fired is not None:
-                        self.transitions += 1
-                        if (result.state != state
-                                and self._block_transitions is not None):
-                            loc = node.location
-                            self._block_transitions.append(
-                                (ordinal, loc.filename, loc.line, state,
-                                 result.state, result.fired.name))
-                    state = result.state
-                    if result.stopped:
-                        return state, True
-                if self.feas is not None and self.current_store is not None:
-                    self.current_store = self.feas.transfer_event(
-                        self.current_store, event)
-            return state, False
-
-        # Summary mode feeds the machine only the nodes its patterns
-        # could match — stepping any other node is a proven no-op (see
-        # repro.mc.summary).  Events are still iterated in full order so
-        # ordinals, opaque poisoning, and the feasibility transfer below
-        # are identical to paths mode.
         for ordinal, event in enumerate(block.events):
             self.current_ordinal = ordinal
             if not self.path_opaque and cfg_slice.event_opaque(event):
+                # Poison the path *before* stepping the machine over the
+                # event, so a rule firing on the opaque region itself is
+                # already held back.
                 self.path_opaque = True
             if self.budget is not None:
                 # Sliced-out nodes are charged but not stepped, so a
                 # budgeted run exhausts at the same work level as the
-                # paths engine would.
+                # unsliced walk would.
                 for _ in range(cfg_slice.skipped_nodes(event)):
                     if not self.budget.charge_step():
                         raise _OutOfBudget()
@@ -245,14 +241,13 @@ def _edge_state(sm: StateMachine, block, state: str, edge) -> str:
     return override if override is not None else state
 
 
-def _flush_run(run: _Run, span, *, naive: bool = False) -> None:
+def _flush_run(run: _Run, span) -> None:
     """Fold one machine execution's counters into the active metrics
     registry and close its trace span (both no-ops when observability
     is off)."""
     metrics = current_metrics()
     if metrics is not None:
-        metrics.inc("engine.naive_functions" if naive
-                    else "engine.functions")
+        metrics.inc("engine.functions")
         metrics.inc("engine.steps", run.steps)
         metrics.inc("engine.transitions", run.transitions)
         metrics.inc("engine.states", run.states)
@@ -279,8 +274,7 @@ def _flush_run(run: _Run, span, *, naive: bool = False) -> None:
 def run_machine(sm: StateMachine, cfg: Cfg, sink: ReportSink, *,
                 budget: Optional[Budget] = None,
                 isolate: bool = False,
-                feasibility: Optional[bool] = None,
-                engine: Optional[str] = None) -> None:
+                feasibility: Optional[bool] = None) -> None:
     """Run ``sm`` over every path of ``cfg`` with (block, state) caching.
 
     With a ``budget``, exploration stops gracefully when it runs out:
@@ -298,14 +292,13 @@ def run_machine(sm: StateMachine, cfg: Cfg, sink: ReportSink, *,
     edges whose condition contradicts the path's facts are pruned and
     counted (``engine.pruned_edges``).
 
-    ``engine`` selects ``"paths"`` or ``"summary"`` (``None`` defers to
-    the process-wide ``--engine`` default).  Summary mode walks a
-    checker-aware slice of the CFG, merges away dead tails, skips
-    functions the machine cannot observe, and serves repeat analyses of
-    an unchanged function from the process-wide summary store — with
-    reports, suppressions, provenance, and confidence byte-identical to
-    paths mode (docs/engine.md).  Budgeted runs bypass the store: their
-    outcome depends on the budget, not just on content.
+    The walk covers a checker-aware slice of the CFG, merges away dead
+    tails, skips functions the machine cannot observe, and serves
+    repeat analyses of an unchanged function from the process-wide
+    summary store — with reports, suppressions, provenance, and
+    confidence byte-identical to the unsliced walk (docs/engine.md).
+    Budgeted runs bypass the store: their outcome depends on the
+    budget, not just on content.
 
     Every execution also records path provenance for each *new* report
     (``sink.provenance``), counts its work into the active metrics
@@ -315,14 +308,13 @@ def run_machine(sm: StateMachine, cfg: Cfg, sink: ReportSink, *,
     initial = sm.initial_state(cfg.function)
     if initial is None:
         return
-    if engine is None:
-        engine = _summary.default_engine()
     if feasibility is None:
         feasibility = _feas.default_enabled()
-    cfg_slice = None
     walk_sink = sink
     store = store_key = None
-    if engine == "summary":
+    if _PATHS_ORACLE:
+        cfg_slice = _IdentitySlice()
+    else:
         cfg_slice = _summary.slice_for(sm, cfg)
         metrics = current_metrics()
         if cfg_slice.full_skip:
@@ -450,13 +442,13 @@ def _walk_cached(run: _Run, cfg: Cfg) -> None:
                     pass
             continue
         for edge in reversed(block.out_edges):
-            if cfg_slice is not None and cfg_slice.skip_edge(edge):
+            if cfg_slice.skip_edge(edge):
                 # Dead-tail merge: no candidate node is reachable past
                 # this edge and the machine has no path-end action, so
                 # every path through the region is equivalent — don't
                 # explore it.  The branch assumption is still evaluated
                 # so pruned-edge provenance on this (live) block matches
-                # the path engine byte for byte.
+                # the unsliced walk byte for byte.
                 if _edge_assume(run, block, store, edge, key)[0] is not _PRUNED:
                     run.merged += 1
                 continue
@@ -517,13 +509,13 @@ def _edge_store(run: _Run, block, store, edge, key):
 
 def run_machine_naive(sm: StateMachine, cfg: Cfg, sink: ReportSink,
                       max_paths: int = 100000,
-                      budget: Optional[Budget] = None,
                       feasibility: Optional[bool] = None) -> int:
     """Run ``sm`` by explicit path enumeration (no state cache).
 
     Back edges are skipped, as in :mod:`repro.cfg.paths`.  Returns the
-    number of paths walked.  Exists to quantify what the state cache buys
-    (ablation 1 in DESIGN.md).  Feasibility pruning applies here too
+    number of paths walked.  Exists for the property tests and to
+    quantify what the state cache buys (ablation 1 in DESIGN.md); no
+    production path calls it.  Feasibility pruning applies here too
     (same semantics as :func:`run_machine`; pruned paths are simply not
     enumerated), though no provenance is recorded.
 
@@ -539,12 +531,10 @@ def run_machine_naive(sm: StateMachine, cfg: Cfg, sink: ReportSink,
     if feasibility is None:
         feasibility = _feas.default_enabled()
     feas = _feas.for_cfg(cfg) if feasibility else None
-    run = _Run(sm, cfg, sink, budget, feas)
+    run = _Run(sm, cfg, sink, None, feas, _IdentitySlice())
     span = (run.tracer.span("function", f"{cfg.name} (naive)",
                             checker=sm.name)
             if run.tracer.enabled else None)
-    if budget is not None:
-        budget.start_clock()
     back = cfg.back_edges()
     paths_walked = 0
     initial_store = feas.initial_store() if feas is not None else None
@@ -569,8 +559,6 @@ def run_machine_naive(sm: StateMachine, cfg: Cfg, sink: ReportSink,
             if block is cfg.exit or not edges:
                 run.at_path_end(state)
                 paths_walked += 1
-                if budget is not None and not budget.charge_path():
-                    raise _OutOfBudget()
                 if paths_walked > max_paths:
                     raise ValueError(
                         f"{cfg.name}: more than {max_paths} paths")
@@ -583,17 +571,9 @@ def run_machine_naive(sm: StateMachine, cfg: Cfg, sink: ReportSink,
                 stack.append((edge.dst,
                               _edge_state(sm, block, state, edge),
                               next_store, opaque))
-    except _OutOfBudget:
-        sink.degraded = True
-        sink.degradation_notes.append(
-            f"[{sm.name}] {cfg.name}: naive enumeration stopped — "
-            f"{budget.note()}"
-        )
-        if span is not None:
-            span.status = "degraded"
     finally:
         sink.report_gate = previous_gate
-        _flush_run(run, span, naive=True)
+        _flush_run(run, span)
     return paths_walked
 
 
@@ -613,18 +593,13 @@ def check_unit(sm: StateMachine, unit: ast.TranslationUnit,
                sink: Optional[ReportSink] = None, *,
                budget: Optional[Budget] = None,
                keep_going: bool = False,
-               naive_fallback: bool = True,
                feasibility: Optional[bool] = None) -> ReportSink:
     """Run ``sm`` over every function in a translation unit.
 
     With ``keep_going``, a crash in one (checker, function) pair —
     whether in CFG construction or in the machine itself — quarantines
     that pair and moves on; the remaining functions still report.  A
-    quarantined pair is retried once with the naive path-enumeration
-    engine (``naive_fallback``), whose different exploration order can
-    dodge state-cache-dependent crashes — unless the ``budget`` is
-    already exhausted, in which case retries are skipped: partial
-    results now beat complete results never.
+    quarantine is final: the pair is never re-analysed another way.
     """
     sink = sink if sink is not None else ReportSink()
     for function in unit.functions():
@@ -638,24 +613,6 @@ def check_unit(sm: StateMachine, unit: ast.TranslationUnit,
                 error_type=type(exc).__name__, message=str(exc),
             ))
             continue
-        before = len(sink.quarantines)
         run_machine(sm, cfg, sink, budget=budget, isolate=keep_going,
                     feasibility=feasibility)
-        crashed = len(sink.quarantines) > before
-        if (crashed and naive_fallback
-                and not (budget is not None and budget.exhausted)):
-            quarantine = sink.quarantines[-1]
-            try:
-                run_machine_naive(sm, cfg, sink, budget=budget,
-                                  feasibility=feasibility)
-            except Exception:
-                # The fallback crashed too; the quarantine stands.
-                pass
-            else:
-                sink.drop_quarantine(quarantine)
-                sink.degradation_notes.append(
-                    f"[{sm.name}] {function.name}: cached engine crashed "
-                    f"({quarantine.error_type}); recovered via naive "
-                    f"enumeration (loops under-approximated)"
-                )
     return sink

@@ -97,9 +97,8 @@ class WorkerConfig:
     keep_going: bool = False
     #: Absolute ``time.time()`` deadline shared by the whole run.
     deadline: Optional[float] = None
-    #: Per-item step/path caps (metal items; run-wide when serial).
+    #: Per-item step cap (metal items; run-wide when serial).
     budget_steps: Optional[int] = None
-    budget_paths: Optional[int] = None
     metal_text: Optional[str] = None
     metal_name: str = "<metal>"
     #: Worker-site fault rules (``worker_crash``/``worker_hang``/...)
@@ -124,10 +123,6 @@ class WorkerConfig:
     #: (repro.lang.parser) and unrecoverable regions become per-function
     #: ``Quarantine(phase="input")`` entries instead of run failures.
     frontend: str = "strict"
-    #: Engine mode (``--engine paths|summary``, repro.mc.summary):
-    #: summary walks checker-aware slices with dead-tail merging and
-    #: function summaries; paths is the exhaustive oracle.
-    engine: str = "summary"
     #: Canonical :class:`repro.campaign.plans.CampaignSpec` JSON for
     #: campaign items (``mc-check campaign``); ``None`` otherwise.
     campaign_spec: Optional[str] = None
@@ -155,15 +150,14 @@ _WORKER_ATTEMPT = 0
 def _init_worker(config: WorkerConfig) -> None:
     global _CONFIG
     _CONFIG = config
-    # The engine reads the process-wide default; set it here so the flag
-    # reaches inline runs, pool workers, and supervised workers alike
-    # (the supervisor's _worker_main calls _init_worker too).  The
-    # frontend mode travels the same way: every parse in the worker —
-    # including the memoized ones — honours ``--frontend``.
-    from . import feasibility, summary
+    # The engine reads the process-wide feasibility default; set it here
+    # so the flag reaches inline runs, pool workers, and supervised
+    # workers alike (the supervisor's _worker_main calls _init_worker
+    # too).  The frontend mode travels the same way: every parse in the
+    # worker — including the memoized ones — honours ``--frontend``.
+    from . import feasibility
     feasibility.set_default_enabled(config.feasibility)
     lang_parser.set_default_mode(config.frontend)
-    summary.set_default_engine(config.engine)
     if config.pack_dirs:
         from ..packs import load_packs
         load_packs(Path(d) for d in config.pack_dirs)
@@ -344,15 +338,14 @@ def _run_checker_item(item: WorkItem, config: WorkerConfig) -> dict:
 
 
 def _item_budget(config: WorkerConfig) -> Optional[Budget]:
+    """The config's step cap and what is left of the run deadline as a
+    fresh :class:`Budget`; ``None`` when neither limit is set."""
     remaining = None
     if config.deadline is not None:
         remaining = max(0.001, config.deadline - time.time())
-    if (config.budget_steps is None and config.budget_paths is None
-            and remaining is None):
+    if config.budget_steps is None and remaining is None:
         return None
-    return Budget(max_steps=config.budget_steps,
-                  max_paths=config.budget_paths,
-                  max_seconds=remaining)
+    return Budget(max_steps=config.budget_steps, max_seconds=remaining)
 
 
 def _run_metal_item(item: WorkItem, config: WorkerConfig,
@@ -482,19 +475,6 @@ def _mp_context():
         return mp.get_context("spawn")
 
 
-def _shared_serial_budget(config: WorkerConfig) -> Optional[Budget]:
-    """Serial runs keep PR 1's semantics: one Budget across every item."""
-    seconds = None
-    if config.deadline is not None:
-        seconds = max(0.001, config.deadline - time.time())
-    if (config.budget_steps is None and config.budget_paths is None
-            and seconds is None):
-        return None
-    return Budget(max_steps=config.budget_steps,
-                  max_paths=config.budget_paths,
-                  max_seconds=seconds)
-
-
 def _run_items(items: list, config: WorkerConfig, jobs: int,
                cache: Optional[ResultCache], keys: dict,
                journal: Optional[RunJournal] = None,
@@ -569,15 +549,15 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
 
     def run_inline() -> None:
         nonlocal shared_budget
-        from . import feasibility, summary
+        from . import feasibility
         # Inline execution runs in the caller's process: restore the
-        # caller's feasibility/frontend/engine defaults afterwards so a
-        # library user mixing runs is not left with flipped globals.
+        # caller's feasibility/frontend defaults afterwards so a library
+        # user mixing runs is not left with flipped globals.
         previous_feasibility = feasibility.default_enabled()
         previous_mode = lang_parser.default_mode()
-        previous_engine = summary.default_engine()
         _init_worker(config)
-        shared_budget = _shared_serial_budget(config)
+        # Serial runs share one Budget across every item.
+        shared_budget = _item_budget(config)
         try:
             for item in pending:
                 if item.index in payloads:
@@ -601,7 +581,6 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
         finally:
             feasibility.set_default_enabled(previous_feasibility)
             lang_parser.set_default_mode(previous_mode)
-            summary.set_default_engine(previous_engine)
         if progress is not None:
             progress.finish(stats)
 
@@ -693,6 +672,12 @@ def merge_parts(checker: str, parts: list):
     return merged
 
 
+def _config_fp(feasibility: bool, frontend: str) -> str:
+    """The analysis settings every cache/journal key folds in."""
+    return (f"feasibility={'on' if feasibility else 'off'},"
+            f"frontend={frontend},schema={SCHEMA_VERSION}")
+
+
 @dataclass
 class CheckRun:
     """A full checker-fleet run: merged results plus run metadata."""
@@ -729,7 +714,6 @@ def check_files(paths: list, *, names: Optional[list] = None,
                 policy: Optional[SupervisorPolicy] = None,
                 observation=None, feasibility: bool = True,
                 frontend: str = "strict",
-                engine: str = "summary",
                 pack_dirs: tuple = ()) -> CheckRun:
     """Run the registered checker fleet over source files, in parallel.
 
@@ -744,8 +728,7 @@ def check_files(paths: list, *, names: Optional[list] = None,
     tracing and metrics collection; reports are identical with or
     without it.  ``feasibility`` toggles infeasible-path pruning
     (``--feasibility``); ``frontend`` picks the parse mode
-    (``--frontend strict|tolerant``); ``engine`` picks the analysis
-    engine (``--engine paths|summary``).  All three are part of every
+    (``--frontend strict|tolerant``).  Both are part of every
     cache/journal key, so runs with different settings never share
     entries.
     """
@@ -770,7 +753,6 @@ def check_files(paths: list, *, names: Optional[list] = None,
                        if observation is not None else None),
         feasibility=feasibility,
         frontend=frontend,
-        engine=engine,
         pack_dirs=tuple(str(d) for d in pack_dirs),
     )
 
@@ -805,9 +787,7 @@ def check_files(paths: list, *, names: Optional[list] = None,
                 checker_fp=checker_fp,
                 units=[(p, digests[p]) for p in item.paths],
                 spec_fp=spec_fp, engine_fp=engine_fp,
-                config_fp=(f"feasibility={'on' if feasibility else 'off'},"
-                           f"frontend={frontend},engine={engine},"
-                           f"schema={SCHEMA_VERSION}"),
+                config_fp=_config_fp(feasibility, frontend),
             )
 
     payloads, _, run_stats = _run_items(items, config, jobs, cache, keys,
@@ -859,21 +839,19 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
                 cache: Optional[ResultCache] = None,
                 keep_going: bool = False,
                 budget_steps: Optional[int] = None,
-                budget_paths: Optional[int] = None,
                 budget_seconds: Optional[float] = None,
                 journal: Optional[RunJournal] = None,
                 policy: Optional[SupervisorPolicy] = None,
                 observation=None, feasibility: bool = True,
-                frontend: str = "strict",
-                engine: str = "summary") -> MetalRun:
+                frontend: str = "strict") -> MetalRun:
     """Run one textual metal checker over files as parallel work items.
 
-    Step/path budgets apply per work item when ``jobs > 1`` (each worker
-    explores independently) but stay shared across every file when
+    The step budget applies per work item when ``jobs > 1`` (each worker
+    explores independently) but stays shared across every file when
     serial, preserving the original semantics; the wall-clock budget is
     a single run-wide deadline either way.  Budgeted runs bypass the
     cache — their results depend on the limits, not just on content —
-    and for the same reason a serial step/path-budgeted run disables the
+    and for the same reason a serial step-budgeted run disables the
     journal: replaying some items against a journal would hand the live
     items a budget the original run never gave them.
     """
@@ -883,19 +861,16 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
     metal_text = Path(metal_path).read_text()
     sm = parse_metal(metal_text, filename=metal_path)  # validate up front
 
-    budgeted = (budget_steps is not None or budget_paths is not None
-                or budget_seconds is not None)
-    if budgeted:
+    if budget_steps is not None or budget_seconds is not None:
         cache = None
-    if (jobs <= 1 and (budget_steps is not None
-                       or budget_paths is not None)):
+    if jobs <= 1 and budget_steps is not None:
         journal = None
     deadline = (time.time() + budget_seconds
                 if budget_seconds is not None else None)
 
     config = WorkerConfig(
         keep_going=keep_going, deadline=deadline,
-        budget_steps=budget_steps, budget_paths=budget_paths,
+        budget_steps=budget_steps,
         metal_text=metal_text, metal_name=metal_path,
         fault_plan=policy.fault_plan if policy is not None else None,
         trace_dir=(observation.worker_trace_dir
@@ -905,7 +880,6 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
                        if observation is not None else None),
         feasibility=feasibility,
         frontend=frontend,
-        engine=engine,
     )
 
     ordered_paths = list(dict.fromkeys(paths))
@@ -925,9 +899,7 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
                 checker_fp=metal_fp,
                 units=[(item.paths[0], source_fingerprint(sources[item.paths[0]]))],
                 engine_fp=engine_fp,
-                config_fp=(f"feasibility={'on' if feasibility else 'off'},"
-                           f"frontend={frontend},engine={engine},"
-                           f"schema={SCHEMA_VERSION}"),
+                config_fp=_config_fp(feasibility, frontend),
             )
 
     payloads, shared_budget, run_stats = _run_items(

@@ -156,8 +156,8 @@ def report_to_json_obj(report: Report, provenance=None,
     ``id`` is the stable short hash ``mc-check explain`` takes; it is a
     pure function of (checker, message, location), so it is identical
     across runs, job counts, and cache states.  ``provenance`` is the
-    step trail recorded at first emission (may be empty: naive-engine
-    and non-engine diagnostics carry none).  ``confidence`` is the
+    step trail recorded at first emission (may be empty: non-engine
+    diagnostics carry none).  ``confidence`` is the
     z-ranking score (:mod:`repro.mc.ranking`), computed from the merged
     run — never cached — so it too is cache-state independent.
     ``origin`` (a :class:`repro.checkers.base.CheckerOrigin`) attributes

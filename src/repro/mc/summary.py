@@ -1,10 +1,11 @@
-"""The summary engine: checker-aware slicing and join-point merging.
+"""Checker-aware slicing and join-point merging for the engine.
 
-The path engine (:mod:`repro.mc.engine`) replays a state machine over
-*every* node of *every* block it visits.  But a metal machine is blind to
-almost all of a function: a rule only fires when one of its patterns
-unifies at an AST node, and :meth:`repro.metal.sm.StateMachine.step` on a
-non-matching node is a state-preserving no-op.  This module computes, per
+Unsliced, the engine (:mod:`repro.mc.engine`) would replay a state
+machine over *every* node of *every* block it visits.  But a metal
+machine is blind to almost all of a function: a rule only fires when
+one of its patterns unifies at an AST node, and
+:meth:`repro.metal.sm.StateMachine.step` on a non-matching node is a
+state-preserving no-op.  This module computes, per
 (machine, CFG) pair, exactly which parts of the function the machine can
 observe, and the engine uses that slice three ways:
 
@@ -27,22 +28,22 @@ observe, and the engine uses that slice three ways:
 3. **Whole-function skipping** — when no candidate is reachable from the
    entry at all, the machine is never run.
 
-The per-checker lattice the ISSUE describes is the engine's visited set:
-abstract states are ``(block, sm-state, feasibility-store, opaque)``
-points, and two paths reaching the same point are joined (the second is
-dropped — counted as ``engine.merged_states``).  Slicing makes the join
+The per-checker lattice is the engine's visited set: abstract states
+are ``(block, sm-state, feasibility-store, opaque)`` points, and two
+paths reaching the same point are joined (the second is dropped —
+counted as ``engine.merged_states``).  Slicing makes the join
 *effective* by erasing the store components that only dead code could
 distinguish.
 
 All three transformations are exact for reports, suppressions,
 provenance trails, and therefore confidence scores — the differential
-test in ``tests/test_engine_summary.py`` holds the summary engine to
-byte-identical output against the path engine.  They are *not* exact
-for work counters (``engine.steps``, ``engine.paths``).  Budget
-accounting is kept in parity: sliced-out nodes are charged to the
-budget without being stepped (:meth:`CfgSlice.skipped_nodes`), so a
-``--budget-steps`` run exhausts at the same work level under either
-engine.  Budgeted runs are never cached.
+test in ``tests/test_engine_summary.py`` holds the sliced walk to
+byte-identical output against the unsliced paths oracle.  They are
+*not* exact for work counters (``engine.steps``, ``engine.paths``).
+Budget accounting is kept in parity: sliced-out nodes are charged to
+the budget without being stepped (:meth:`CfgSlice.skipped_nodes`), so a
+``--budget-steps`` run exhausts at the same work level as the unsliced
+walk.  Budgeted runs are never cached.
 """
 
 from __future__ import annotations
@@ -52,35 +53,10 @@ from typing import Optional
 
 from ..lang import ast
 
-#: Engine selector values, mirroring ``--engine``.
-ENGINES = ("paths", "summary")
-
 #: Version of the summary-engine semantics; folded into every
 #: function-summary key so changing slicing/replay behaviour can never
 #: replay a stale record.
 ENGINE_SUMMARY_VERSION = 1
-
-_DEFAULT_ENGINE = "summary"
-
-
-def default_engine() -> str:
-    """The process-wide engine mode (the ``--engine`` default)."""
-    return _DEFAULT_ENGINE
-
-
-def set_default_engine(mode: str) -> str:
-    """Set the process-wide engine mode; returns the previous one.
-
-    Mirrors :func:`repro.mc.feasibility.set_default_enabled` — the
-    parallel workers call this from their initializer, and tests flip it
-    around a block and restore the returned value.
-    """
-    global _DEFAULT_ENGINE
-    if mode not in ENGINES:
-        raise ValueError(f"unknown engine {mode!r}; expected one of {ENGINES}")
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = mode
-    return previous
 
 
 # -- the machine filter ------------------------------------------------------
@@ -411,9 +387,9 @@ class CfgSlice:
 
     def skipped_nodes(self, event: ast.Node) -> int:
         """How many of the event's nodes the slice removed (nodes the
-        paths engine would have stepped).  Budgeted runs charge these to
-        the budget without stepping them, so a ``--budget-steps`` run
-        degrades at the same work level under either engine."""
+        unsliced walk would have stepped).  Budgeted runs charge these
+        to the budget without stepping them, so a ``--budget-steps`` run
+        degrades at the same work level as the unsliced walk."""
         eid = id(event)
         entry = self._index.get(eid)
         if entry is None:
@@ -452,7 +428,7 @@ def merge_into(sink, walk_sink, *, provenance_from: Optional[dict] = None):
     state — reports first (so a clean report beats a suppression from an
     *earlier* function, exactly as a shared-sink walk would resolve it),
     then suppressions, then resilience state — produces the same
-    unit-wide sink the path engine builds directly.  Used both when a
+    unit-wide sink a shared-sink walk builds directly.  Used both when a
     walk just finished and when a cached summary is served.
     """
     from ..obs.provenance import report_key

@@ -215,8 +215,8 @@ class RunJournal:
         """Start a fresh journal under ``root``; ``None`` if the
         directory is unwritable (a read-only cache never fails a run).
 
-        ``config`` records the run's analysis settings (engine mode,
-        feasibility, frontend) in the header so a later ``--resume``
+        ``config`` records the run's analysis settings (feasibility,
+        frontend) in the header so a later ``--resume``
         under different settings is refused rather than mixing payloads
         computed under two configurations.
         """
@@ -241,7 +241,7 @@ class RunJournal:
 
         When both the header and the caller supply ``config``, every key
         present in both must agree; a mismatch (e.g. the run was started
-        with ``--engine paths`` and resumed with ``--engine summary``)
+        with ``--feasibility on`` and resumed with ``--feasibility off``)
         raises :class:`ReproError` naming the recorded setting.  Headers
         without a config (or callers passing none) skip the check for
         compatibility with journals written by older schemas' tooling.

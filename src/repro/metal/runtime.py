@@ -121,15 +121,6 @@ class ReportSink:
         self.degraded = True
         return True
 
-    def drop_quarantine(self, quarantine) -> None:
-        """Forget a quarantine (its pair was successfully re-analyzed)."""
-        key = (quarantine.checker, quarantine.function)
-        self._quarantined.discard(key)
-        self.quarantines = [
-            q for q in self.quarantines
-            if (q.checker, q.function) != key
-        ]
-
     @property
     def reports(self) -> list[Report]:
         return list(self._reports)

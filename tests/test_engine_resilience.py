@@ -1,4 +1,4 @@
-"""Engine graceful degradation: crash isolation, budgets, fallback.
+"""Engine graceful degradation: crash isolation and budgets.
 
 The acceptance behaviour for the robustness work: a checker whose
 action raises mid-path costs only its own (checker, function) pair —
@@ -22,8 +22,8 @@ from repro.mc import (
     is_call_to,
     quarantining,
     run_machine,
-    run_machine_naive,
 )
+from repro.mc.resilience import _TIME_CHECK_INTERVAL
 from repro.cfg import build_cfg
 from repro.project import program_from_source
 
@@ -109,9 +109,11 @@ class TestCrashIsolation:
 
 
 class TestNaiveFallback:
-    def test_cache_only_crash_recovers_via_naive(self):
-        # A crash that depends on the cached engine's exploration:
-        # fail the first call only — the naive retry then succeeds.
+    """There is no fallback engine: a crash is a quarantine, full stop."""
+
+    def test_first_call_crash_stays_quarantined(self):
+        # A crash on the first call only: a retry would succeed, so a
+        # retrying engine would turn the quarantine into an answer.
         unit = build_unit("void once(void) { use(1); }")
         calls = {"n": 0}
 
@@ -127,10 +129,12 @@ class TestNaiveFallback:
         sm.add_rule("start", "use(x)", action=action)
 
         sink = check_unit(sm, unit, keep_going=True)
-        assert sink.quarantines == []       # recovered
-        assert len(sink.reports) == 1
-        assert sink.degraded                # but honest about the retry
-        assert any("recovered" in n for n in sink.degradation_notes)
+        assert [(q.function, q.error_type) for q in sink.quarantines] == [
+            ("once", "RuntimeError")]
+        assert sink.reports == []
+        assert calls["n"] == 1              # never retried
+        assert sink.degraded
+        assert not any("recovered" in n for n in sink.degradation_notes)
 
     def test_fallback_disabled_when_budget_exhausted(self):
         unit = build_unit("void bad(void) { use(1); }\n"
@@ -159,25 +163,14 @@ class TestBudgets:
         assert len(plain) == len(budgeted) == 2
         assert not budgeted.degraded
 
-    def test_path_budget_caps_naive_engine(self):
-        unit = build_unit("""
-            void f(void) {
-                if (a) { x(); } if (b) { x(); } if (c) { x(); }
-                use(1);
-            }
-        """)
-        sink = ReportSink()
-        budget = Budget(max_paths=2)
-        run_machine_naive(reporting_machine(), build_cfg(unit.function("f")),
-                          sink, budget=budget)
-        assert budget.exhausted_by == "paths"
-        assert sink.degraded
-
     def test_time_budget(self):
         budget = Budget(max_seconds=0.0)
         budget.start_clock()
-        assert budget.charge_path() is False
+        # The clock is read once every _TIME_CHECK_INTERVAL charged steps.
+        charged = [budget.charge_step() for _ in range(_TIME_CHECK_INTERVAL)]
+        assert all(charged[:-1]) and charged[-1] is False
         assert budget.exhausted_by == "time"
+        assert budget.charge_step() is False
 
     def test_budget_is_shared_across_units(self):
         unit = build_unit(SRC)

@@ -1,11 +1,13 @@
-"""The summary engine: differential equivalence against the paths oracle.
+"""The engine: differential equivalence against the paths oracle.
 
-The engine PR's contract (docs/engine.md):
+The engine's contract (docs/engine.md):
 
-- ``--engine summary`` (the default) produces **byte-identical** reports,
-  suppressions, provenance, and confidence to ``--engine paths`` — proved
-  here by direct differential testing over generated handlers (property),
-  the five paper protocols, and tolerant-frontend/opaque input;
+- the sliced walk with function summaries produces **byte-identical**
+  reports, suppressions, provenance, and confidence to the unsliced
+  paths oracle (``repro.mc.engine._PATHS_ORACLE``, flipped here with
+  ``unittest.mock.patch.object``) — proved by direct differential
+  testing over generated handlers (property), the five paper protocols,
+  and tolerant-frontend/opaque input;
 - replaying a cached function summary is indistinguishable from
   re-walking the function;
 - the slicer's ``MachineFilter`` is a sound over-approximation of root
@@ -13,9 +15,7 @@ The engine PR's contract (docs/engine.md):
 - ``engine.summary_hits``/``engine.summary_misses``/
   ``engine.merged_states`` flow into the metrics registry and
   ``mc-check stats``;
-- the result cache keys on the engine mode (switching ``--engine`` never
-  serves stale entries) and ``--resume`` across engine modes refuses
-  cleanly.
+- ``--resume`` under different analysis settings refuses cleanly.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,15 +36,14 @@ from repro.checkers.metal_sources import FIGURE_2
 from repro.errors import ReproError
 from repro.lang import ast, clear_memo, set_default_mode
 from repro.mc import (
-    ResultCache,
     check_files,
     clear_function_summaries,
-    format_reports,
     function_summaries,
     run_to_json,
     score_run,
     slice_for,
 )
+from repro.mc import engine
 from repro.mc.engine import run_machine
 from repro.mc.summary import filter_for
 from repro.mc.supervisor import RunJournal
@@ -70,6 +70,11 @@ def run_cli(*argv, timeout=180, cache_dir=None):
     )
 
 
+def paths_oracle(enabled: bool = True):
+    """Switch ``run_machine`` to the unsliced paths walk for a block."""
+    return mock.patch.object(engine, "_PATHS_ORACLE", enabled)
+
+
 def _snapshot(sink: ReportSink):
     """Everything a sink tells the user, in a comparable shape."""
     return (
@@ -81,7 +86,7 @@ def _snapshot(sink: ReportSink):
     )
 
 
-def _machine_run(source: str, engine: str, *, feasibility=True,
+def _machine_run(source: str, oracle: bool, *, feasibility=True,
                  tolerant=False):
     if tolerant:
         set_default_mode("tolerant")
@@ -89,9 +94,9 @@ def _machine_run(source: str, engine: str, *, feasibility=True,
         clear_memo()
         program = program_from_source(source)
         sink = ReportSink()
-        for cfg in program.cfgs():
-            run_machine(_SM, cfg, sink, feasibility=feasibility,
-                        engine=engine)
+        with paths_oracle(oracle):
+            for cfg in program.cfgs():
+                run_machine(_SM, cfg, sink, feasibility=feasibility)
     finally:
         if tolerant:
             set_default_mode("strict")
@@ -148,8 +153,8 @@ def _handler_from(items, opaque_at=None) -> str:
 @given(items=_ITEMS, feasibility=st.booleans())
 def test_summary_equals_paths_on_generated_handlers(items, feasibility):
     source = _handler_from(items)
-    paths = _machine_run(source, "paths", feasibility=feasibility)
-    summary = _machine_run(source, "summary", feasibility=feasibility)
+    paths = _machine_run(source, True, feasibility=feasibility)
+    summary = _machine_run(source, False, feasibility=feasibility)
     assert summary == paths, source
 
 
@@ -159,8 +164,8 @@ def test_summary_equals_paths_with_opaque_regions(items, position):
     # Tolerant-frontend input: an unparseable statement becomes an
     # opaque node; suppressed_by="opaque" bookkeeping must match too.
     source = _handler_from(items, opaque_at=min(position, len(items) - 1))
-    paths = _machine_run(source, "paths", tolerant=True)
-    summary = _machine_run(source, "summary", tolerant=True)
+    paths = _machine_run(source, True, tolerant=True)
+    summary = _machine_run(source, False, tolerant=True)
     assert summary == paths, source
 
 
@@ -180,15 +185,18 @@ class TestPaperCorpusEquivalence:
             paths.append(str(p))
         docs = {}
         scores = {}
-        for engine in ("paths", "summary"):
+        for oracle in (True, False):
             clear_function_summaries()
-            run = check_files(sorted(paths), keep_going=True, cache=None,
-                              engine=engine)
-            docs[engine] = json.dumps(run_to_json(run), indent=2,
+            # check_files at jobs=1 runs in this process, so the oracle
+            # switch reaches every checker's run_machine call.
+            with paths_oracle(oracle):
+                run = check_files(sorted(paths), keep_going=True,
+                                  cache=None)
+            docs[oracle] = json.dumps(run_to_json(run), indent=2,
                                       sort_keys=True)
-            scores[engine] = score_run(run)
-        assert docs["paths"] == docs["summary"]
-        assert scores["paths"] == scores["summary"]
+            scores[oracle] = score_run(run)
+        assert docs[True] == docs[False]
+        assert scores[True] == scores[False]
 
 
 # -- summary replay ------------------------------------------------------------
@@ -222,8 +230,8 @@ class TestSummaryStore:
         store = function_summaries()
         hits0, misses0 = store.hits, store.misses
         first, second = ReportSink(), ReportSink()
-        run_machine(sm, cfg, first, feasibility=True, engine="summary")
-        run_machine(sm, cfg, second, feasibility=True, engine="summary")
+        run_machine(sm, cfg, first, feasibility=True)
+        run_machine(sm, cfg, second, feasibility=True)
         assert store.misses == misses0 + 1
         assert store.hits == hits0 + 1
         assert _snapshot(first) == _snapshot(second)
@@ -237,8 +245,7 @@ class TestSummaryStore:
         store = function_summaries()
         lookups0 = store.hits + store.misses
         sink = ReportSink()
-        run_machine(sm, cfg, sink, budget=Budget(max_steps=100000),
-                    engine="summary")
+        run_machine(sm, cfg, sink, budget=Budget(max_steps=100000))
         assert store.hits + store.misses == lookups0
 
     def test_irrelevant_function_is_skipped_entirely(self):
@@ -248,7 +255,7 @@ class TestSummaryStore:
         sl = slice_for(sm, cfg)
         assert sl.full_skip
         sink = ReportSink()
-        run_machine(sm, cfg, sink, engine="summary")
+        run_machine(sm, cfg, sink)
         assert _snapshot(sink) == _snapshot(ReportSink())
 
 
@@ -318,8 +325,7 @@ class TestCounters:
         previous = activate_metrics(registry)
         try:
             for _ in range(2):
-                run_machine(sm, cfg, ReportSink(), feasibility=True,
-                            engine="summary")
+                run_machine(sm, cfg, ReportSink(), feasibility=True)
         finally:
             activate_metrics(previous)
         counters = registry.snapshot()["counters"]
@@ -335,13 +341,37 @@ class TestCounters:
         registry = MetricsRegistry()
         previous = activate_metrics(registry)
         try:
-            run_machine(sm, cfg, ReportSink(), engine="summary")
+            run_machine(sm, cfg, ReportSink())
         finally:
             activate_metrics(previous)
         snapshot = registry.snapshot()
         assert snapshot["counters"].get("engine.merged_states", 0) >= 1
         # ``mc-check stats`` renders every counter, these included.
         assert "engine.merged_states" in format_metrics(snapshot)
+
+    def test_paths_oracle_steps_every_node_and_skips_the_store(self):
+        # The differential tests above are only as good as the switch:
+        # under the oracle the walk must step nodes the slice leaves out
+        # and never consult the summary store.
+        sm = parse_metal(FIGURE_2)
+        program = program_from_source(_DIAMOND)
+        (cfg,) = program.cfgs()
+        store = function_summaries()
+        steps = {}
+        for oracle in (True, False):
+            clear_function_summaries()
+            lookups0 = store.hits + store.misses
+            registry = MetricsRegistry()
+            previous = activate_metrics(registry)
+            try:
+                with paths_oracle(oracle):
+                    run_machine(sm, cfg, ReportSink())
+            finally:
+                activate_metrics(previous)
+            steps[oracle] = registry.counters["engine.steps"]
+            lookups = store.hits + store.misses - lookups0
+            assert lookups == (0 if oracle else 1)
+        assert steps[True] > steps[False]
 
     def test_stats_cli_shows_engine_counters(self, tmp_path):
         unit = tmp_path / "bug.c"
@@ -355,51 +385,30 @@ class TestCounters:
         assert "engine.summary_misses" in shown.stdout
 
 
-# -- cache keys and resume across engine modes ---------------------------------
+# -- resume under different analysis settings ---------------------------------
 
-class TestEngineConfigKeys:
-    @pytest.fixture
-    def bug_files(self, tmp_path):
-        a = tmp_path / "a.c"
-        a.write_text(_REAL_BUG)
-        return [str(a)]
-
-    def test_engine_switch_never_serves_stale_entries(self, bug_files,
-                                                      tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        first = check_files(bug_files, cache=cache, engine="summary")
-        crossed = check_files(bug_files, cache=cache, engine="paths")
-        assert crossed.stats.hits == 0
-        warm = check_files(bug_files, cache=cache, engine="summary")
-        assert warm.stats.hits > 0
-
-        def formatted(run):
-            return "\n".join(format_reports(r.reports, heading=n)
-                             for n, r in run.results.items())
-
-        assert formatted(first) == formatted(crossed) == formatted(warm)
-
-    def test_resume_refuses_engine_mismatch(self, tmp_path):
+class TestResumeConfigRefusal:
+    def test_resume_refuses_feasibility_mismatch(self, tmp_path):
         runs = tmp_path / "runs"
         journal = RunJournal.create(
-            runs, config={"engine": "summary", "feasibility": "on",
-                          "frontend": "strict"})
+            runs, config={"feasibility": "on", "frontend": "strict"})
         journal.close()
         RunJournal.resume(runs, journal.run_id,
-                          {"engine": "summary"}).close()
-        with pytest.raises(ReproError, match="engine='summary'"):
-            RunJournal.resume(runs, journal.run_id, {"engine": "paths"})
+                          {"feasibility": "on"}).close()
+        with pytest.raises(ReproError, match="feasibility='on'"):
+            RunJournal.resume(runs, journal.run_id, {"feasibility": "off"})
 
-    def test_resume_refuses_engine_mismatch_end_to_end(self, bug_files,
-                                                       tmp_path):
+    def test_resume_refuses_feasibility_mismatch_end_to_end(self, tmp_path):
+        unit = tmp_path / "a.c"
+        unit.write_text(_REAL_BUG)
         cache_dir = tmp_path / "cachedir"
-        first = run_cli("check", bug_files[0], cache_dir=cache_dir)
+        first = run_cli("check", str(unit), cache_dir=cache_dir)
         run_id = None
         for line in first.stderr.splitlines():
             if line.startswith("run: id="):
                 run_id = line.split("run: id=", 1)[1].strip()
         assert run_id, first.stderr
-        second = run_cli("check", bug_files[0], "--resume", run_id,
-                         "--engine", "paths", cache_dir=cache_dir)
+        second = run_cli("check", str(unit), "--resume", run_id,
+                         "--feasibility", "off", cache_dir=cache_dir)
         assert second.returncode == 2
-        assert "was recorded with engine='summary'" in second.stderr
+        assert "was recorded with feasibility='on'" in second.stderr

@@ -24,6 +24,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from repro.mc import (
     format_reports,
     score_run,
 )
+from repro.mc import engine as mc_engine
 from repro.mc.engine import run_machine, run_machine_naive
 from repro.mc.supervisor import RunJournal, SupervisorPolicy
 from repro.metal import StateMachine, lint_machine, lint_source
@@ -91,14 +93,14 @@ def run_cli(*argv, timeout=120, cache_dir=None):
 
 
 def _reports(source: str, enabled: bool, engine: str = "summary"):
-    from repro.mc import summary
+    """``engine="paths"`` runs the unsliced paths oracle."""
     previous = feasibility.set_default_enabled(enabled)
-    previous_engine = summary.set_default_engine(engine)
     try:
-        return check_source(parse_metal(FIGURE_2), source)
+        with mock.patch.object(mc_engine, "_PATHS_ORACLE",
+                               engine == "paths"):
+            return check_source(parse_metal(FIGURE_2), source)
     finally:
         feasibility.set_default_enabled(previous)
-        summary.set_default_engine(previous_engine)
 
 
 # -- the Table 2 false positive ------------------------------------------------
