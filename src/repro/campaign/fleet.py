@@ -7,12 +7,12 @@ retry, poison quarantine), graceful interruption, and the inline
 fallback — by introducing one new work-item kind, ``"campaign"``, whose
 item index *is* the shard index.
 
-Shard keys fold together the protocol sources' content hashes, the
-canonical campaign-spec JSON, the shard index, and a fingerprint of the
+Shard keys come from :func:`repro.mc.cache.work_item_key`, like every
+item's, over the protocol sources' content hashes, the canonical
+campaign-spec JSON, the shard index, and a fingerprint of the
 campaign/simulator/fault implementation — so editing a protocol file,
 changing any campaign parameter, or upgrading the simulator invalidates
-exactly the affected journal/cache entries, the same invalidation
-discipline the checker fleet has.
+exactly the affected store entries.
 """
 
 from __future__ import annotations
@@ -20,9 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import ReproError
 from ..lang.memo import source_fingerprint
-from ..mc.cache import SCHEMA_VERSION, ResultCache, _module_digest, _sha256
+from ..mc.cache import (
+    ResultCache,
+    _module_digest,
+    _sha256,
+    engine_fingerprint,
+    work_item_key,
+)
 from ..mc.parallel import WorkerConfig, WorkItem, _run_items
 from ..mc.supervisor import RunJournal, RunStats, SupervisorPolicy
 from .plans import CAMPAIGN_SCHEMA, CampaignSpec
@@ -93,19 +98,27 @@ class CampaignRun:
 
 
 def shard_keys(spec: CampaignSpec, sources: dict) -> dict:
-    """Journal/cache key per shard index."""
-    fp = campaign_fingerprint()
-    spec_json = spec.to_json()
-    digests = [(path, source_fingerprint(text))
-               for path, text in sources.items()]
-    keys = {}
-    for shard in range(spec.n_shards):
-        keys[shard] = _sha256(
-            fp.encode(), spec_json.encode(), str(shard).encode(),
-            *(f"{p}\x00{d}".encode() for p, d in digests),
-            f"schema={SCHEMA_VERSION}".encode(),
-        )
-    return keys
+    """Store key per shard index (:func:`work_item_key`)."""
+    checker_fp = campaign_fingerprint()
+    engine_fp = engine_fingerprint()
+    spec_fp = source_fingerprint(spec.to_json())
+    units = [(path, source_fingerprint(text))
+             for path, text in sources.items()]
+    return {shard: work_item_key(checker_fp=checker_fp, units=units,
+                                 spec_fp=spec_fp, engine_fp=engine_fp,
+                                 config_fp=f"shard={shard}")
+            for shard in range(spec.n_shards)}
+
+
+def _shard_from_payload(payload: dict) -> dict:
+    """A shard payload; a complete one must carry this campaign schema
+    and run-numbered outcomes, or the store treats it as corrupt."""
+    if not payload.get("degraded") and (
+            payload["campaign"] != CAMPAIGN_SCHEMA
+            or not all(isinstance(o["run"], int)
+                       for o in payload["outcomes"])):
+        raise ValueError("not a shard payload of this campaign schema")
+    return payload
 
 
 def run_campaign(spec: CampaignSpec, *, jobs: int = 1,
@@ -144,26 +157,21 @@ def run_campaign(spec: CampaignSpec, *, jobs: int = 1,
                  index=shard)
         for shard in range(spec.n_shards)
     ]
-    keys = shard_keys(spec, sources)
+    keys = (shard_keys(spec, sources)
+            if cache is not None or journal is not None else {})
     payloads, _budget, run_stats = _run_items(
-        items, config, jobs, cache, keys, journal=journal, policy=policy,
-        observation=observation)
+        items, config, jobs, cache, keys, _shard_from_payload,
+        journal=journal, policy=policy, observation=observation)
 
     outcomes = []
     incomplete = []
     for shard in range(spec.n_shards):
-        payload = payloads.get(shard)
-        if (payload is None or payload.get("degraded")
-                or payload.get("quarantines")):
-            notes = (payload or {}).get("degradation_notes") or []
+        payload = payloads[shard]
+        if payload.get("degraded"):
             incomplete.append({"shard": shard,
-                               "note": notes[0] if notes else "missing"})
+                               "note": payload["degradation_notes"][0]})
             continue
-        if payload.get("campaign") != CAMPAIGN_SCHEMA:
-            raise ReproError(
-                f"shard {shard} payload is from an incompatible campaign "
-                f"schema; clear the cache or rerun without --resume")
-        outcomes.extend(payload.get("outcomes", ()))
+        outcomes.extend(payload["outcomes"])
     outcomes.sort(key=lambda o: o["run"])
     return CampaignRun(
         spec=spec, outcomes=outcomes, incomplete_shards=incomplete,

@@ -91,7 +91,6 @@ from .mc import (
     StopFlag,
     SupervisorPolicy,
     check_files,
-    default_cache_dir,
     default_runs_dir,
     format_quarantines,
     format_reports,
@@ -202,38 +201,40 @@ class _Fleet:
     and the run journal, announcing ``run: id=`` on stderr.
     :meth:`running` wraps the run itself, :meth:`finish` finalizes its
     observation, and :meth:`record` appends it to the run ledger.
+    ``command`` names the run in the journal header and the ledger.
     """
 
-    def __init__(self, args):
+    def __init__(self, args, command: str):
         self.args = args
+        self.command = command
         self.pack_dirs = _packs_from_args(args)
 
     def open(self, *, budgeted: bool = False,
              journal_config: dict | None = None,
              metrics: bool = True) -> None:
-        """``budgeted`` runs bypass the cache: their results depend on
-        the limits in force, not just on content.  ``journal_config``
-        replaces the analysis settings recorded in (and checked on
-        ``--resume`` against) the journal header; ``metrics=False``
-        leaves ``--metrics-out`` to the caller.
+        """``budgeted`` runs make no cache lookups: a cached result
+        would mask the degradation the budget is there to show.
+        ``journal_config`` replaces the analysis settings recorded in
+        (and checked on ``--resume`` against) the journal header, next
+        to the command; ``metrics=False`` leaves ``--metrics-out`` to
+        the caller.
 
         The journal is resumed from ``--resume``, else created under
-        ``<cache-dir>/runs``.  There is none (the run is simply not
-        resumable) when the directory is unwritable or ``--no-cache``
-        (whose default reads ``$MC_CHECK_NO_CACHE``) asked for no disk
-        writes; an explicit ``--resume`` always wins."""
+        ``<cache-dir>/runs``; either way its payloads go into the cache
+        directory, so a budgeted run's complete items are stored too.
+        There is none (the run is simply not resumable) when the
+        directory is unwritable or ``--no-cache`` (whose default reads
+        ``$MC_CHECK_NO_CACHE``) asked for no disk writes; an explicit
+        ``--resume`` always wins."""
         args = self.args
         self.jobs = resolve_jobs(args.jobs)
-        self.cache = None
-        if not (args.no_cache or budgeted):
-            self.cache = ResultCache(Path(args.cache_dir) if args.cache_dir
-                                     else default_cache_dir())
         self.stop_flag = StopFlag()
         self.policy = _policy_from_args(args, self.stop_flag)
         self.observation = _observation_from_args(args, metrics)
         if journal_config is None:
             journal_config = {"feasibility": args.feasibility,
                               "frontend": args.frontend}
+        journal_config = {"command": self.command, **journal_config}
         runs_dir = default_runs_dir(args.cache_dir)
         if args.resume:
             self.journal = RunJournal.resume(runs_dir, args.resume,
@@ -242,6 +243,10 @@ class _Fleet:
             self.journal = None
         else:
             self.journal = RunJournal.create(runs_dir, config=journal_config)
+        # One store object, so journal writes count in the cache's stats.
+        store = (self.journal.store if self.journal is not None
+                 else ResultCache(runs_dir.parent))
+        self.cache = None if args.no_cache or budgeted else store
         if self.journal is not None:
             print(f"run: id={self.journal.run_id}", file=sys.stderr,
                   flush=True)
@@ -279,7 +284,7 @@ class _Fleet:
             print(f"metrics: wrote {observation.metrics_path}",
                   file=sys.stderr)
 
-    def record(self, *, command: str, config: dict, run, exit_code: int,
+    def record(self, *, config: dict, run, exit_code: int,
                doc: dict, degraded: bool = False,
                counters: dict | None = None) -> None:
         """Record the finished run in ``<cache-dir>/ledger.jsonl``.
@@ -300,7 +305,8 @@ class _Fleet:
         if counters is None:
             counters = _ledger_counters(self.observation, run)
         ledger.append(make_record(
-            run_id=journal.run_id, command=command, files=self.args.files,
+            run_id=journal.run_id, command=self.command,
+            files=self.args.files,
             config=config, wall=self.wall, exit_code=exit_code,
             reports=reports_from_doc(doc), counters=counters,
             interrupted=getattr(run, "interrupted", False),
@@ -350,7 +356,7 @@ def _validate_checker_names(names) -> None:
 
 
 def cmd_check(args) -> int:
-    fleet = _Fleet(args)
+    fleet = _Fleet(args, "check")
     _validate_checker_names(args.checker)
     names = args.checker or None
     json_mode = args.format == "json"
@@ -411,7 +417,6 @@ def cmd_check(args) -> int:
     else:
         code = EXIT_BUGS if failures else EXIT_CLEAN
     fleet.record(
-        command="check",
         config={"command": "check", "feasibility": feasibility,
                 "frontend": args.frontend, "jobs": fleet.jobs,
                 "checkers": sorted(names or []),
@@ -435,7 +440,7 @@ def _hard_quarantines(quarantines, frontend: str) -> list:
 
 
 def cmd_metal(args) -> int:
-    fleet = _Fleet(args)  # validates --pack-dir; metal runs one machine
+    fleet = _Fleet(args, "metal")  # validates --pack-dir; one machine
     json_mode = args.format == "json"
     feasibility = args.feasibility == "on"
     min_confidence = args.min_confidence
@@ -482,7 +487,6 @@ def cmd_metal(args) -> int:
     else:
         code = EXIT_BUGS if total else EXIT_CLEAN
     fleet.record(
-        command="metal",
         config={"command": "metal", "checker": args.checker,
                 "feasibility": feasibility, "frontend": args.frontend,
                 "jobs": fleet.jobs, "keep_going": args.keep_going,
@@ -600,7 +604,7 @@ def cmd_campaign(args) -> int:
     from .campaign.crosstab import reports_from_json, reports_from_run
 
     json_mode = args.format == "json"
-    fleet = _Fleet(args)
+    fleet = _Fleet(args, "campaign")
     spec_path = args.spec
     program = _load_program(args.files, spec_path)
     functions = {f.name: f for f in program.functions()}
@@ -635,8 +639,7 @@ def cmd_campaign(args) -> int:
     campaign_fp = hashlib.sha256(spec.to_json().encode()).hexdigest()[:16]
     # Campaign metrics come from the finished cross-tab (below), so the
     # Observation covers --trace/--progress only.
-    fleet.open(journal_config={"mode": "campaign", "campaign": campaign_fp},
-               metrics=False)
+    fleet.open(journal_config={"campaign": campaign_fp}, metrics=False)
     with fleet.running():
         # -- static side: prior report doc, or an in-process check -----
         if args.report:
@@ -699,7 +702,6 @@ def cmd_campaign(args) -> int:
         print(f"metrics: wrote {metrics_out}", file=sys.stderr)
     code = EXIT_BUGS if crosstab.counters["crashes"] else EXIT_CLEAN
     fleet.record(
-        command="campaign",
         config={"command": "campaign", "campaign": campaign_fp,
                 "jobs": fleet.jobs, "runs": spec.runs,
                 "shard_size": spec.shard_size, "seed": spec.seed},

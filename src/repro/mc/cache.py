@@ -14,7 +14,8 @@ parallel workers ship back over the queue, :func:`result_to_payload`),
 including quarantine records and degradation notes.  Results that are
 degraded or quarantined are never stored: they depend on the run's
 budget and luck, not just on content, so replaying them would poison
-later unbudgeted runs.
+later unbudgeted runs.  It is the only payload store: a run journal
+lists keys into it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ from .resilience import Quarantine
 #: so switching ``--engine`` can never replay the other mode's entries,
 #: and the run journal header records the run's configuration.
 #: v6: one engine — ``config_fp`` drops ``engine=``.
-SCHEMA_VERSION = 6
+#: v7: one store — the run journal lists keys, payloads live only here,
+#: and :func:`work_item_key` folds this version in once for every key.
+SCHEMA_VERSION = 7
 
 
 # -- fingerprints ------------------------------------------------------------
@@ -103,8 +106,7 @@ def engine_fingerprint() -> str:
             digests.append(_module_digest(module))
         _ENGINE_FILES_FP = _sha256(*(d.encode() for d in digests))
     import repro
-    return _sha256(_ENGINE_FILES_FP.encode(), repro.__version__.encode(),
-                   str(SCHEMA_VERSION).encode())
+    return _sha256(_ENGINE_FILES_FP.encode(), repro.__version__.encode())
 
 
 _CHECKER_FP: dict[str, Optional[str]] = {}
@@ -290,30 +292,25 @@ def sink_from_payload(payload: dict) -> ReportSink:
     return sink
 
 
-def payload_cacheable(payload: dict) -> bool:
-    """Only complete results are content-pure; partial ones depend on
-    the run's budget/crash luck and must not be replayed."""
-    return not payload.get("degraded") and not payload.get("quarantines")
+def _config_fp(feasibility: bool, frontend: str) -> str:
+    """The analysis settings every check and metal key folds in."""
+    return (f"feasibility={'on' if feasibility else 'off'},"
+            f"frontend={frontend}")
 
 
 def work_item_key(*, checker_fp: str, units: list[tuple[str, str]],
                   spec_fp: str = "", engine_fp: Optional[str] = None,
                   config_fp: str = "") -> str:
-    """Content-hash key for one (checker, unit-set) work item.
+    """Content-hash key for one check, metal or campaign work item.
 
-    ``units`` is a list of ``(filename, content-hash)`` pairs; global
-    checkers pass every file of the run, unit-parallel checkers pass
-    exactly one.  The run journal keys its records the same way, so a
-    journal entry — like a cache entry — is automatically invalidated
-    by editing a file, changing a checker, or upgrading the engine.
-    ``config_fp`` folds in analysis configuration that changes results
-    (``feasibility=on|off``, ``frontend=strict|tolerant``, and the
-    payload ``SCHEMA_VERSION``), so runs with different settings — in
-    particular a ``--frontend`` switch — never share entries.
+    ``units`` is a list of ``(filename, content-hash)`` pairs, ``spec_fp``
+    the protocol or campaign spec, and ``config_fp`` the settings that
+    change results (:func:`_config_fp`, or a shard index).  The payload
+    ``SCHEMA_VERSION`` is folded in here and nowhere else.
     """
     engine = engine_fp if engine_fp is not None else engine_fingerprint()
-    chunks = [engine.encode(), checker_fp.encode(), spec_fp.encode(),
-              config_fp.encode()]
+    chunks = [f"schema={SCHEMA_VERSION}".encode(), engine.encode(),
+              checker_fp.encode(), spec_fp.encode(), config_fp.encode()]
     for filename, digest in units:
         chunks.append(filename.encode())
         chunks.append(digest.encode())
@@ -590,11 +587,11 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    #: Entries that existed on disk but would not parse (truncated by a
-    #: crash or power loss mid-write on a non-atomic filesystem, bit
-    #: rot, manual tampering).  Each one is also a miss — the item is
-    #: recomputed — and the bad file is deleted so it cannot keep
-    #: tripping every future run.
+    #: Entries that existed on disk but would not parse or decode
+    #: (truncated by a crash or power loss mid-write on a non-atomic
+    #: filesystem, bit rot, manual tampering).  Each one is also a miss
+    #: — the item is recomputed — and the bad file is deleted so it
+    #: cannot keep tripping every future run.
     corrupt: int = 0
 
     @property
@@ -631,33 +628,28 @@ class ResultCache:
         self.root = Path(root)
         self.stats = CacheStats()
 
-    def key_for(self, *, checker_fp: str, units: list[tuple[str, str]],
-                spec_fp: str = "", engine_fp: Optional[str] = None,
-                config_fp: str = "") -> str:
-        """Cache key for one (checker, unit-set) work item
-        (see :func:`work_item_key`)."""
-        return work_item_key(checker_fp=checker_fp, units=units,
-                             spec_fp=spec_fp, engine_fp=engine_fp,
-                             config_fp=config_fp)
-
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> Optional[dict]:
+    def get(self, key: str, decode):
+        """The entry under ``key`` decoded by ``decode`` (e.g.
+        :func:`result_from_payload`), or ``None`` on a miss.  An entry
+        that does not parse or decode is corrupt: deleted and counted.
+        """
         path = self._path(key)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             self.stats.misses += 1
             return None
         try:
-            payload = json.loads(text)
-            if not isinstance(payload, dict):
-                raise ValueError("cache entry is not an object")
-        except ValueError:
-            # The entry exists but won't parse — a half-written file from
-            # a crash on a non-atomic filesystem, or plain corruption.
-            # Treat it as a miss, and delete it so it cannot keep biting.
+            payload = json.loads(data)
+            stale = payload.get("schema") != SCHEMA_VERSION
+            value = None if stale else decode(payload)
+        except (ValueError, LookupError, TypeError, AttributeError):
+            # A half-written file from a crash on a non-atomic
+            # filesystem, bit rot, tampering: delete it so it cannot
+            # keep biting.
             self.stats.misses += 1
             self.stats.corrupt += 1
             try:
@@ -665,15 +657,16 @@ class ResultCache:
             except OSError:
                 pass
             return None
-        if payload.get("schema") != SCHEMA_VERSION:
+        if stale:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        return payload
+        return value
 
-    def put(self, key: str, payload: dict) -> None:
-        if not payload_cacheable(payload):
-            return
+    def put(self, key: str, payload: dict) -> bool:
+        """Store a complete payload under ``key``; ``True`` once stored."""
+        if payload.get("degraded") or payload.get("quarantines"):
+            return False  # budget or crash luck, not content
         if "obs" in payload:
             # Timings and counters are run observations, not content —
             # storing them would make cache entries non-reproducible.
@@ -693,5 +686,6 @@ class ResultCache:
                     pass
                 raise
         except OSError:
-            return  # a read-only or full cache never fails the run
+            return False  # a read-only or full cache never fails the run
         self.stats.stores += 1
+        return True

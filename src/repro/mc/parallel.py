@@ -20,7 +20,8 @@ function — embarrassingly parallel work this module schedules as
   byte-identical to ``--jobs 1``;
 * a :class:`repro.mc.cache.ResultCache` short-circuits items whose
   key (content hash × checker fingerprint × engine fingerprint) was
-  seen before, so unchanged files are skipped entirely on re-runs;
+  seen before, or that a resumed run journal lists, so unchanged files
+  are skipped entirely on re-runs;
 * a wall-clock budget is one run-wide absolute deadline shared by all
   workers (items starting after it report themselves skipped and
   degraded), not a fresh ``max_seconds`` per process.
@@ -43,9 +44,11 @@ from .cache import (
     SCHEMA_VERSION,
     CacheStats,
     ResultCache,
+    _config_fp,
     checker_fingerprint,
     engine_fingerprint,
     metal_fingerprint,
+    quarantine_to_obj,
     result_from_payload,
     result_to_payload,
     sink_from_payload,
@@ -108,7 +111,7 @@ class WorkerConfig:
     #: (``--trace``); ``None`` disables span tracing entirely.
     trace_dir: Optional[str] = None
     #: Collect per-item metrics into the payload's ``obs`` section
-    #: (``--trace``/``--metrics-out``); stripped before cache/journal.
+    #: (``--trace``/``--metrics-out``); stripped before it is stored.
     collect_obs: bool = False
     #: Directory supervised workers append heartbeat events into
     #: (``--progress``); ``None`` disables heartbeats.  Like the trace
@@ -221,7 +224,7 @@ def _skipped_payload(item: WorkItem, config: WorkerConfig,
         sink.degradation_notes.append(f"[{label}] {where}: {note}")
         return sink_to_payload(sink)
     if item.kind == "campaign":
-        # Degraded: never journaled/cached — the shard reruns on resume.
+        # Degraded: never stored — the shard reruns on resume.
         return {"schema": SCHEMA_VERSION, "shard": item.index,
                 "degraded": True, "outcomes": [],
                 "degradation_notes": [f"[{label}] {note}"]}
@@ -245,10 +248,7 @@ def _quarantine_payload(item: WorkItem, config: WorkerConfig,
     if item.kind == "campaign":
         return {"schema": SCHEMA_VERSION, "shard": item.index,
                 "degraded": True, "outcomes": [],
-                "quarantines": [{
-                    "checker": label, "function": "*", "phase": phase,
-                    "error_type": error_type,
-                    "message": f"{where}: {message}"}],
+                "quarantines": [quarantine_to_obj(quarantine)],
                 "degradation_notes": [f"[{label}] {where}: {message}"]}
     if item.kind == "metal":
         sink = ReportSink()
@@ -285,11 +285,8 @@ def _run_checker_item(item: WorkItem, config: WorkerConfig) -> dict:
 
     name = item.checker
     if _past_deadline(config):
-        result = CheckerResult(checker=name, degraded=True)
-        result.degradation_notes.append(
-            f"[{name}] {', '.join(item.paths)}: not analysed — "
-            "run deadline exceeded")
-        return result_to_payload(result)
+        return _skipped_payload(item, config,
+                                "not analysed — run deadline exceeded")
     _maybe_worker_fault(item)
     # A unit deleted between dispatch and execution must not kill the
     # worker: it becomes a per-item input quarantine.  In strict mode,
@@ -354,12 +351,8 @@ def _run_metal_item(item: WorkItem, config: WorkerConfig,
 
     path = item.paths[0]
     if _past_deadline(config):
-        sink = ReportSink()
-        sink.degraded = True
-        sink.degradation_notes.append(
-            f"[{config.metal_name}] {path}: not analysed — "
-            "run deadline exceeded")
-        return sink_to_payload(sink)
+        return _skipped_payload(item, config,
+                                "not analysed — run deadline exceeded")
     _maybe_worker_fault(item)
     sm = _metal_machine(config)
     try:
@@ -476,27 +469,30 @@ def _mp_context():
 
 
 def _run_items(items: list, config: WorkerConfig, jobs: int,
-               cache: Optional[ResultCache], keys: dict,
+               cache: Optional[ResultCache], keys: dict, decode,
                journal: Optional[RunJournal] = None,
                policy: Optional[SupervisorPolicy] = None,
                observation=None,
                ) -> tuple[dict, Optional[Budget], RunStats]:
-    """Execute items (journal replay and cache first, then supervised
-    pool or inline).
+    """Resolve every item to its ``decode``-d result: read from the
+    store when the resumed ``journal`` lists its key (a replay) or the
+    run has a ``cache``, else executed (supervised pool or inline) and
+    stored once, through the journal when there is one.
 
     ``observation`` (a :class:`repro.obs.Observation`, optional) sees
     every item exactly once: fresh completions via ``absorb_payload``,
     everything resolved parent-side — journal replays, cache hits,
     poison quarantines, interruption skips — via ``item_resolved``.
 
-    Returns ``(payloads by item index, shared serial budget or None,
+    Returns ``(results by item index, shared serial budget or None,
     supervision stats)``.
     """
     from .supervisor import SupervisorUnavailable, supervise_items
 
     policy = policy if policy is not None else SupervisorPolicy()
     stats = RunStats()
-    payloads: dict[int, dict] = {}
+    results: dict = {}
+    payloads: dict[int, dict] = {}   # executed (or skipped) items
     pending: list[WorkItem] = []
 
     def resolved(item: WorkItem, status: str) -> None:
@@ -508,20 +504,17 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
         observation.set_item_total(len(items))
     for item in items:
         key = keys.get(item.index)
-        payload = None
-        if journal is not None and key is not None:
-            payload = journal.replay(key)
-            if payload is not None:
-                stats.replayed += 1
-                resolved(item, "replayed")
-        if payload is None and cache is not None and key is not None:
-            payload = cache.get(key)
-            if payload is not None:
-                resolved(item, "cached")
-        if payload is not None:
-            payloads[item.index] = payload
-        else:
+        listed = journal is not None and key in journal
+        store = journal.store if listed else cache
+        value = (store.get(key, decode)
+                 if store is not None and key is not None else None)
+        if value is None:
             pending.append(item)
+            continue
+        results[item.index] = value
+        if listed:
+            stats.replayed += 1
+        resolved(item, "replayed" if listed else "cached")
 
     def record(item: WorkItem, payload: dict) -> None:
         if observation is not None:
@@ -530,19 +523,15 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
         key = keys.get(item.index)
         if key is None:
             return
-        if cache is not None:
-            cache.put(key, payload)
         if journal is not None:
             journal.record(key, payload)
+        elif cache is not None:
+            cache.put(key, payload)
 
     shared_budget: Optional[Budget] = None
     progress = observation.progress if observation is not None else None
     if observation is not None:
         observation.begin_pool(len(pending))
-    if not pending:
-        if progress is not None:
-            progress.finish(stats)
-        return payloads, shared_budget, stats
     # Largest units first: the long poles start immediately, the small
     # ones backfill, and the pool drains with minimal tail latency.
     pending.sort(key=lambda it: (-it.weight, it.index))
@@ -584,9 +573,6 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
         if progress is not None:
             progress.finish(stats)
 
-    if jobs <= 1 or len(pending) == 1:
-        run_inline()
-        return payloads, shared_budget, stats
     def quarantined(item: WorkItem, error_type: str, message: str) -> dict:
         resolved(item, "quarantined")
         return _quarantine_payload(item, config, error_type, message)
@@ -595,18 +581,26 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
         resolved(item, "skipped")
         return _skipped_payload(item, config, note)
 
-    try:
-        supervise_items(
-            pending, config, jobs, policy, stats, payloads, record,
-            quarantine_payload=quarantined,
-            skipped_payload=skipped,
-            progress=progress,
-        )
-    except SupervisorUnavailable:
-        # No usable multiprocessing here (restricted sandbox, missing
-        # semaphores): degrade to in-process execution, results intact.
+    if not pending:
+        if progress is not None:
+            progress.finish(stats)
+    elif jobs <= 1 or len(pending) == 1:
         run_inline()
-    return payloads, shared_budget, stats
+    else:
+        try:
+            supervise_items(
+                pending, config, jobs, policy, stats, payloads, record,
+                quarantine_payload=quarantined,
+                skipped_payload=skipped,
+                progress=progress,
+            )
+        except SupervisorUnavailable:
+            # No usable multiprocessing here (restricted sandbox, missing
+            # semaphores): degrade to in-process execution, results intact.
+            run_inline()
+    for index, payload in payloads.items():
+        results[index] = decode(payload)
+    return results, shared_budget, stats
 
 
 def _report_sort_key(report: Report) -> tuple:
@@ -672,10 +666,20 @@ def merge_parts(checker: str, parts: list):
     return merged
 
 
-def _config_fp(feasibility: bool, frontend: str) -> str:
-    """The analysis settings every cache/journal key folds in."""
-    return (f"feasibility={'on' if feasibility else 'off'},"
-            f"frontend={frontend},schema={SCHEMA_VERSION}")
+def _item_keys(items: list, sources: dict, checker_fp, spec_fp: str,
+               config_fp: str) -> dict:
+    """Store key per item index; an item whose ``checker_fp(item)`` is
+    ``None`` (a checker without locatable source) is uncacheable."""
+    engine_fp = engine_fingerprint()
+    digests = {p: source_fingerprint(t) for p, t in sources.items()}
+    keys = {}
+    for item in items:
+        fp = checker_fp(item)
+        if fp is not None:
+            keys[item.index] = work_item_key(
+                checker_fp=fp, units=[(p, digests[p]) for p in item.paths],
+                spec_fp=spec_fp, engine_fp=engine_fp, config_fp=config_fp)
+    return keys
 
 
 @dataclass
@@ -728,9 +732,8 @@ def check_files(paths: list, *, names: Optional[list] = None,
     tracing and metrics collection; reports are identical with or
     without it.  ``feasibility`` toggles infeasible-path pruning
     (``--feasibility``); ``frontend`` picks the parse mode
-    (``--frontend strict|tolerant``).  Both are part of every
-    cache/journal key, so runs with different settings never share
-    entries.
+    (``--frontend strict|tolerant``).  Both are part of every store
+    key, so runs with different settings never share entries.
     """
     from ..checkers.base import checker_names, get_checker
     from ..project import read_sources
@@ -774,30 +777,19 @@ def check_files(paths: list, *, names: Optional[list] = None,
                 index=len(items)))
             parts_of[name].append(items[-1].index)
 
-    keys: dict[int, str] = {}
+    keys = {}
     if cache is not None or journal is not None:
-        engine_fp = engine_fingerprint()
-        digests = {p: source_fingerprint(t) for p, t in sources.items()}
-        spec_fp = source_fingerprint(spec_text) if spec_text else ""
-        for item in items:
-            checker_fp = checker_fingerprint(item.checker)
-            if checker_fp is None:
-                continue  # checker without locatable source: uncacheable
-            keys[item.index] = work_item_key(
-                checker_fp=checker_fp,
-                units=[(p, digests[p]) for p in item.paths],
-                spec_fp=spec_fp, engine_fp=engine_fp,
-                config_fp=_config_fp(feasibility, frontend),
-            )
+        keys = _item_keys(
+            items, sources, lambda item: checker_fingerprint(item.checker),
+            source_fingerprint(spec_text) if spec_text else "",
+            _config_fp(feasibility, frontend))
 
-    payloads, _, run_stats = _run_items(items, config, jobs, cache, keys,
-                                        journal=journal, policy=policy,
-                                        observation=observation)
+    parts, _, run_stats = _run_items(items, config, jobs, cache, keys,
+                                     result_from_payload, journal=journal,
+                                     policy=policy, observation=observation)
 
-    results = {}
-    for name in selected:
-        parts = [result_from_payload(payloads[i]) for i in parts_of[name]]
-        results[name] = merge_parts(name, parts)
+    results = {name: merge_parts(name, [parts[i] for i in parts_of[name]])
+               for name in selected}
     return CheckRun(results=results, jobs=jobs,
                     stats=cache.stats if cache is not None else None,
                     run_id=journal.run_id if journal is not None else None,
@@ -849,11 +841,12 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
     The step budget applies per work item when ``jobs > 1`` (each worker
     explores independently) but stays shared across every file when
     serial, preserving the original semantics; the wall-clock budget is
-    a single run-wide deadline either way.  Budgeted runs bypass the
-    cache — their results depend on the limits, not just on content —
-    and for the same reason a serial step-budgeted run disables the
-    journal: replaying some items against a journal would hand the live
-    items a budget the original run never gave them.
+    a single run-wide deadline either way.  Budgeted runs make no cache
+    lookups — a cached result would mask the degradation the budget is
+    there to show — though the complete items they journal still land
+    in the store.  A serial step-budgeted run disables the journal:
+    replaying some items against a journal would hand the live items a
+    budget the original run never gave them.
     """
     from ..metal.parser import parse_metal
     from ..project import read_sources
@@ -890,22 +883,16 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
         for i, path in enumerate(ordered_paths)
     ]
 
-    keys: dict[int, str] = {}
+    keys = {}
     if cache is not None or journal is not None:
-        engine_fp = engine_fingerprint()
         metal_fp = metal_fingerprint(metal_text)
-        for item in items:
-            keys[item.index] = work_item_key(
-                checker_fp=metal_fp,
-                units=[(item.paths[0], source_fingerprint(sources[item.paths[0]]))],
-                engine_fp=engine_fp,
-                config_fp=_config_fp(feasibility, frontend),
-            )
+        keys = _item_keys(items, sources, lambda item: metal_fp, "",
+                          _config_fp(feasibility, frontend))
 
-    payloads, shared_budget, run_stats = _run_items(
-        items, config, jobs, cache, keys, journal=journal, policy=policy,
-        observation=observation)
-    sinks = [(path, sink_from_payload(payloads[i]))
+    sinks_by_index, shared_budget, run_stats = _run_items(
+        items, config, jobs, cache, keys, sink_from_payload,
+        journal=journal, policy=policy, observation=observation)
+    sinks = [(path, sinks_by_index[i])
              for i, path in enumerate(ordered_paths)]
     return MetalRun(sm_name=sm.name, sinks=sinks, jobs=jobs,
                     stats=cache.stats if cache is not None else None,

@@ -20,11 +20,11 @@ fleet in a supervisor so the run survives its own machinery:
 - **graceful shutdown**: SIGINT/SIGTERM stop dispatch, drain in-flight
   items, flush a partial report, and exit with a distinct code (130);
   a second signal aborts hard;
-- **run journal**: an append-only JSONL file
-  (``<cache-dir>/runs/<run-id>.jsonl``, one atomic line per completed
-  item) makes every run resumable: ``mc-check check --resume RUN-ID``
-  replays completed items and re-dispatches only the remainder, with
-  the resumed report byte-identical to an uninterrupted run (the same
+- **run journal**: an append-only manifest of completed items' cache
+  keys (``<cache-dir>/runs/<run-id>.jsonl``) makes every run
+  resumable: ``mc-check check --resume RUN-ID`` replays those items
+  from the cache and re-dispatches only the remainder, with the
+  resumed report byte-identical to an uninterrupted run (the same
   determinism contract as ``--jobs``).
 
 Failure taxonomy: worker *death* (crash/hang/timeout) is an
@@ -54,13 +54,14 @@ from typing import Callable, Optional
 
 from ..errors import ReproError, WorkerFailure
 from ..faults.plan import FaultPlan
-from .cache import payload_cacheable
+from .cache import ResultCache
 
 #: Journal schema; bump when the record shape changes.
 #: v2: header carries the run's configuration (engine/feasibility/
 #: frontend) so ``--resume`` can refuse a run replayed under different
 #: analysis settings instead of silently mixing results.
-JOURNAL_SCHEMA = 2
+#: v3: key-only records over the result cache; config names the command.
+JOURNAL_SCHEMA = 3
 
 
 class SupervisorUnavailable(Exception):
@@ -162,7 +163,7 @@ class RunStats:
     """Supervision accounting for one run (shown in the summary line)."""
 
     completed: int = 0      # items executed to a payload this run
-    replayed: int = 0       # items served from the run journal (--resume)
+    replayed: int = 0       # journaled items read from the store (--resume)
     retried: int = 0        # re-dispatches after a crash/hang
     crashes: int = 0        # worker deaths observed
     timeouts: int = 0       # hung workers killed by the watchdog
@@ -183,27 +184,27 @@ def new_run_id() -> str:
 
 
 class RunJournal:
-    """Append-only JSONL record of one run's completed work items.
+    """Append-only JSONL manifest of one run's completed work items.
 
-    Line 1 is a header (``{"run", "schema", "created"}``); every later
-    line is ``{"key", "payload"}`` where ``key`` is the item's
-    content-hash identity (the same SHA-256 the result cache uses, so
-    an edited file or upgraded engine silently invalidates its journal
-    entries) and ``payload`` is the serialised result.  Each record is
-    written as one ``write``+``flush``+``fsync`` of a single line, so a
-    run killed mid-append leaves at most one truncated tail line —
-    which :meth:`resume` skips.
-
-    Only *complete* payloads are recorded (the cache's purity rule):
-    degraded or quarantined results reflect budget/crash luck and must
-    be recomputed, never replayed.
+    Line 1 is a header (``{"run", "schema", "created", "config"}``);
+    every later line is ``{"key"}``: the content-hash key of one
+    complete item whose payload :meth:`record` put into ``store``, the
+    result cache in the directory holding ``runs/``, before appending
+    the key as one ``write``+``flush``+``fsync``.  A run killed
+    mid-append leaves at most one truncated tail line, which
+    :meth:`resume` skips and the next append terminates.  A resumed run
+    may read exactly the listed keys (``key in journal``) from the
+    store; a listed entry that is missing, stale or corrupt there is a
+    miss, so the item is recomputed rather than replayed.
     """
 
-    def __init__(self, path: Path, run_id: str,
-                 entries: Optional[dict[str, dict]] = None):
+    def __init__(self, path: Path, run_id: str, keys=(),
+                 partial_tail: bool = False):
         self.path = Path(path)
         self.run_id = run_id
-        self._entries: dict[str, dict] = dict(entries or {})
+        self.store = ResultCache(self.path.parent.parent)
+        self._keys: set[str] = set(keys)
+        self._partial_tail = partial_tail
         self._fh = None
         self.disabled = False
 
@@ -215,10 +216,10 @@ class RunJournal:
         """Start a fresh journal under ``root``; ``None`` if the
         directory is unwritable (a read-only cache never fails a run).
 
-        ``config`` records the run's analysis settings (feasibility,
-        frontend) in the header so a later ``--resume``
-        under different settings is refused rather than mixing payloads
-        computed under two configurations.
+        ``config`` records the run's command and analysis settings
+        (feasibility, frontend) in the header so a later ``--resume``
+        of another command or under different settings is refused
+        rather than mixing payloads computed under two configurations.
         """
         run_id = run_id or new_run_id()
         root = Path(root)
@@ -241,10 +242,10 @@ class RunJournal:
 
         When both the header and the caller supply ``config``, every key
         present in both must agree; a mismatch (e.g. the run was started
-        with ``--feasibility on`` and resumed with ``--feasibility off``)
-        raises :class:`ReproError` naming the recorded setting.  Headers
-        without a config (or callers passing none) skip the check for
-        compatibility with journals written by older schemas' tooling.
+        with ``--feasibility on`` and resumed with ``--feasibility off``,
+        or a ``check`` run resumed by ``metal``) raises
+        :class:`ReproError` naming the recorded setting.  Headers
+        without a config (or callers passing none) skip the check.
         """
         path = Path(root) / f"{run_id}.jsonl"
         try:
@@ -253,7 +254,7 @@ class RunJournal:
             raise ReproError(
                 f"no journal for run {run_id!r} under {Path(root)}: {exc}"
             ) from None
-        entries: dict[str, dict] = {}
+        keys: set[str] = set()
         header: Optional[dict] = None
         for line in text.splitlines():
             try:
@@ -264,12 +265,8 @@ class RunJournal:
                 continue
             if header is None and "run" in obj:
                 header = obj
-                continue
-            key = obj.get("key")
-            payload = obj.get("payload")
-            if (isinstance(key, str) and isinstance(payload, dict)
-                    and payload_cacheable(payload)):
-                entries[key] = payload
+            elif isinstance(obj.get("key"), str):
+                keys.add(obj["key"])
         if header is None or header.get("schema") != JOURNAL_SCHEMA:
             raise ReproError(
                 f"journal {path} is from an incompatible schema; "
@@ -283,35 +280,32 @@ class RunJournal:
                         f"{key}={recorded[key]!r} but --resume asked for "
                         f"{key}={config[key]!r}; rerun without --resume "
                         f"or restore the original setting")
-        return cls(path, run_id, entries)
+        return cls(path, run_id, keys, partial_tail=not text.endswith("\n"))
 
     # -- replay + append -----------------------------------------------------
 
-    def replay(self, key: str) -> Optional[dict]:
-        return self._entries.get(key)
+    def __contains__(self, key) -> bool:
+        return key in self._keys
 
     def record(self, key: str, payload: dict) -> None:
-        if self.disabled or not payload_cacheable(payload):
+        if not self.store.put(key, payload) or self.disabled:
             return
-        if key in self._entries:
-            return  # already journaled by the run we resumed
-        if "obs" in payload:
-            # Timings/counters are observations of *this* run; replaying
-            # them would make a resumed report depend on the first run's
-            # clock.  Strip before the line hits disk.
-            payload = {k: v for k, v in payload.items() if k != "obs"}
+        if key in self._keys:
+            return  # listed by the run we resumed; re-stored after a miss
         try:
-            self._append({"key": key, "payload": payload})
+            self._append({"key": key})
         except OSError:
             # Disk full / journal dir revoked: the run outlives its
             # journal, it just stops being resumable past this point.
             self.disabled = True
             return
-        self._entries[key] = payload
+        self._keys.add(key)
 
     def _append(self, obj: dict) -> None:
         if self._fh is None:
             self._fh = self.path.open("a")
+            if self._partial_tail:
+                self._fh.write("\n")  # end a mid-append kill's torn line
         self._fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
@@ -429,8 +423,9 @@ def supervise_items(pending: list, config, jobs: int,
                     progress=None) -> None:
     """Run ``pending`` work items under supervision, filling ``payloads``.
 
-    ``record(item, payload)`` persists each fresh completion (cache +
-    journal); ``quarantine_payload(item, error_type, message)`` and
+    ``record(item, payload)`` persists each fresh completion (into the
+    store, through the journal when there is one);
+    ``quarantine_payload(item, error_type, message)`` and
     ``skipped_payload(item, note)`` build kind-aware degraded payloads
     for poisoned and interrupted items.  ``progress`` (a
     :class:`repro.obs.progress.ProgressReporter`) receives throttled

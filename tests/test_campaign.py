@@ -436,7 +436,7 @@ class TestCampaignEndToEnd:
         spec = small_spec(buggy_c)
         static = reports_from_run(check_files([buggy_c]))
         runs_dir = tmp_path / "runs"
-        config = {"mode": "campaign"}
+        config = {"command": "campaign"}
 
         journal = RunJournal.create(runs_dir, config=config)
         first = run_campaign(spec, jobs=1, journal=journal)

@@ -412,3 +412,22 @@ class TestResumeConfigRefusal:
                          "--feasibility", "off", cache_dir=cache_dir)
         assert second.returncode == 2
         assert "was recorded with feasibility='on'" in second.stderr
+
+    def test_resume_refuses_another_commands_run(self, tmp_path):
+        from repro.checkers.metal_sources import FIGURE_2
+        unit = tmp_path / "a.c"
+        unit.write_text(_REAL_BUG)
+        metal = tmp_path / "wait.metal"
+        metal.write_text(FIGURE_2)
+        cache_dir = tmp_path / "cachedir"
+        first = run_cli("check", str(unit), cache_dir=cache_dir)
+        run_id = first.stderr.split("run: id=", 1)[1].split()[0]
+        journal = cache_dir / "runs" / f"{run_id}.jsonl"
+        before = journal.read_text()
+        second = run_cli("metal", str(metal), str(unit), "--resume", run_id,
+                         cache_dir=cache_dir)
+        assert second.returncode == 2
+        assert "was recorded with command='check'" in second.stderr
+        assert journal.read_text() == before
+        history = run_cli("history", "--format", "json", cache_dir=cache_dir)
+        assert [r["command"] for r in json.loads(history.stdout)] == ["check"]

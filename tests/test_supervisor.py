@@ -15,7 +15,8 @@ The contract under test, end to end:
   uninterrupted run;
 - an input file deleted between dispatch and execution becomes a
   per-item ``phase="input"`` quarantine, not a worker crash;
-- a corrupt cache entry is deleted, counted, and treated as a miss.
+- a corrupt cache entry (unparseable, or the wrong shape for its item
+  kind) is deleted, counted, and treated as a miss.
 
 Worker faults are injected with the same declarative
 :class:`~repro.faults.plan.FaultPlan` machinery the simulator uses
@@ -47,6 +48,7 @@ from repro.mc import (
     format_reports,
     metal_files,
 )
+from repro.mc.cache import SCHEMA_VERSION
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -282,6 +284,13 @@ class TestJournalAndResume:
         baseline = check_files(two_files, jobs=1)
         assert second.supervision.replayed >= 1
         assert _formatted(second.results) == _formatted(baseline.results)
+        # the torn line was terminated before the next append, so the
+        # recomputed item's key survives: a second resume replays it all
+        again = RunJournal.resume(runs, journal.run_id)
+        third = check_files(two_files, jobs=1, journal=again)
+        again.close()
+        assert third.supervision.completed == 0
+        assert _formatted(third.results) == _formatted(baseline.results)
 
     def test_resume_unknown_run_id_raises(self, tmp_path):
         with pytest.raises(ReproError):
@@ -347,6 +356,14 @@ class TestCacheHardening:
         third = ResultCache(cache.root)
         check_files(two_files, cache=third)
         assert third.stats.misses == 0 and third.stats.corrupt == 0
+        # an entry that parses but does not decode for its item kind is
+        # corrupt too: a miss, deleted and recomputed, never a KeyError
+        victim.write_text(json.dumps({"schema": SCHEMA_VERSION}))
+        fourth = ResultCache(cache.root)
+        again = check_files(two_files, cache=fourth)
+        assert fourth.stats.corrupt == 1 and fourth.stats.misses == 1
+        assert _formatted(again.results) == _formatted(run.results)
+        assert json.loads(victim.read_text()) != {"schema": SCHEMA_VERSION}
 
     def test_clean_stats_line_is_unchanged(self):
         from repro.mc.cache import CacheStats
