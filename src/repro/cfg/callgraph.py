@@ -10,6 +10,10 @@ them together into a global call graph* and traverse that (paper §3.2 and
 - :func:`load_flowgraph` reads one back;
 - :class:`CallGraph` links a set of flow graphs, exposes callees/callers,
   and builds a :mod:`networkx` digraph for cycle/SCC queries.
+
+:mod:`networkx` is imported where a graph is built or queried, not at
+module level: importing it takes about a third of a warm no-op
+``check``, and most commands never build a call graph.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
-
-import networkx as nx
 
 from ..lang import ast
 from .graph import Cfg
@@ -151,6 +153,8 @@ class CallGraph:
     """Linked set of flow graphs for a whole protocol."""
 
     def __init__(self, graphs: Iterable[FlowGraph]):
+        import networkx as nx
+
         self.graphs: dict[str, FlowGraph] = {}
         for graph in graphs:
             self.graphs[graph.function] = graph
@@ -187,6 +191,8 @@ class CallGraph:
 
     def recursive_functions(self) -> set[str]:
         """Functions involved in any call cycle (including self-recursion)."""
+        import networkx as nx
+
         result: set[str] = set()
         for scc in nx.strongly_connected_components(self.nx):
             if len(scc) > 1:
@@ -198,6 +204,8 @@ class CallGraph:
         return result
 
     def reachable_from(self, name: str) -> set[str]:
+        import networkx as nx
+
         if name not in self.nx:
             return set()
         return set(nx.descendants(self.nx, name)) | {name}

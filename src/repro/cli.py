@@ -109,11 +109,17 @@ EXIT_INTERRUPTED = 130
 
 
 def _load_program(paths: list[str], spec_path: str | None = None) -> Program:
+    """The program behind ``simulate``, ``campaign`` and ``paths``.
+
+    Its units come from the per-process parse memo, because these
+    commands only read the ASTs: a campaign's shards, inline or in
+    forked workers, then reuse this parse instead of repeating it.
+    """
     info = None
     if spec_path is not None:
         from .flash.spec import parse_spec
         info = parse_spec(Path(spec_path).read_text(), spec_path)
-    return Program(read_sources(paths), info=info)
+    return Program(read_sources(paths), info=info, unit_memo=True)
 
 
 def _policy_from_args(args, stop_flag: StopFlag) -> SupervisorPolicy:

@@ -5,15 +5,26 @@ the full C operator set, character/string/number literals, and both comment
 styles.  FLASH macros (``WAIT_FOR_DB_FULL`` and friends) arrive here as
 ordinary identifiers — exactly how xg++ saw them after preprocessing.
 
+Scanning is one compiled regular expression: each match is a run of
+skipped text (whitespace, comments, preprocessor directives) followed by
+one named alternative — identifier, number, string, character, an
+unterminated literal or ``/*``, punctuation longest-first, a run of
+characters no token can start with, or the end of the input.  Line and
+column come from :meth:`SourceFile.location`, a bisection over the
+file's line starts.
+
 In **tolerant** mode (``Lexer(source, tolerant=True)``) the lexer never
 raises: byte sequences it cannot tokenize become ``UNKNOWN`` tokens and
 unterminated literals/comments are closed at end of line or end of file,
 so the recovering parser (:mod:`repro.lang.parser`) always receives a
-complete token stream for arbitrary input.
+complete token stream for arbitrary input.  Both modes scan with the
+same expression; they differ only in what they do with an unterminated
+or unclassifiable match.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -52,10 +63,73 @@ PUNCTUATION = (
     "+", "-", "*", "/", "%", "<", ">", "=", "&", "^", "|", "!", "~",
 )
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-_HEX_DIGITS = _DIGITS | frozenset("abcdefABCDEF")
+
+# Text skipped between tokens: whitespace, both comment styles, and
+# preprocessor directives.  ``#include`` consumes only its filename (so
+# the metal preamble ``{ #include "flash-includes.h" }`` keeps its
+# closing brace); every other directive runs to end of line, honouring
+# backslash continuations.
+_SKIP = (
+    r"(?:[ \t\r\n\f\v]+"
+    r"|//[^\n]*"
+    r"|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
+    r'|#[ \t]*(?:include(?![A-Za-z0-9_])[ \t]*(?:"[^"]*"?|<[^>]*>?)?'
+    r"|(?:\\\n|[^\n])*))*"
+)
+
+# Characters that can start a token or skipped text; a maximal run of
+# any others is one UNKNOWN token (tolerant) or a LexError (strict).
+_CLASSIFIABLE = frozenset(
+    " \t\r\n\f\v#\"'._0123456789"
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+) | {punct[0] for punct in PUNCTUATION}
+
+# A backslash escapes any character, newline included.
+_QUOTED_BODY = r"[^{q}\\\n]*(?:\\.[^{q}\\\n]*)*"
+_STRING_BODY = _QUOTED_BODY.format(q='"')
+_CHAR_BODY = _QUOTED_BODY.format(q="'")
+
+# The token alternatives, tried in order after the skipped text.  Upper-
+# case names are the TokenKind of the token they produce; what the
+# lower-case ones produce depends on the mode.
+_ALTERNATIVES = (
+    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
+    # A number is a float if it has a fraction, an exponent or an f/F
+    # suffix; ``0x`` numbers take no fraction or exponent, and a ``.``
+    # followed by another ``.`` is not a fraction.
+    ("FLOAT_LIT",
+     r"0[xX][0-9a-fA-F]*[uUlL]+[fF][uUlLfF]*"
+     r"|(?:[0-9]+\.(?!\.)[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[uUlLfF]*"
+     r"|[0-9]+(?:[eE][+-]?[0-9]+[uUlLfF]*|[uUlL]*[fF][uUlLfF]*)"),
+    ("INT_LIT", r"0[xX][0-9a-fA-F]*[uUlL]*|[0-9]+[uUlL]*"),
+    ("STRING_LIT", f'"{_STRING_BODY}"'),
+    ("CHAR_LIT", f"'{_CHAR_BODY}'"),
+    # Unterminated: the literal stops at end of line or end of input.
+    ("open_string", f'"{_STRING_BODY}\\\\?'),
+    ("open_char", f"'{_CHAR_BODY}\\\\?"),
+    ("open_comment", r"/\*"),
+    ("PUNCT", "|".join(re.escape(punct) for punct in PUNCTUATION)),
+    ("unknown",
+     "[^" + "".join(re.escape(ch) for ch in sorted(_CLASSIFIABLE)) + "]+"),
+    ("end", r"\Z"),
+)
+
+# Every character starts skipped text or some alternative, so a match
+# never fails after the skipped text and never backtracks into it.
+_SCANNER = re.compile(
+    _SKIP + "(?:" + "|".join(f"(?P<{name}>{pattern})"
+                             for name, pattern in _ALTERNATIVES) + ")",
+    re.DOTALL,
+)
+
+# TokenKind by match.lastindex; None for the lower-case alternatives.
+_KINDS = (None,) + tuple(getattr(TokenKind, name, None)
+                         for name, _ in _ALTERNATIVES)
+
+_UNTERMINATED = {
+    "open_string": ('"', TokenKind.STRING_LIT, "unterminated string literal"),
+    "open_char": ("'", TokenKind.CHAR_LIT, "unterminated character literal"),
+}
 
 
 @dataclass(frozen=True)
@@ -84,204 +158,44 @@ class Lexer:
     def __init__(self, source: SourceFile, tolerant: bool = False):
         self.source = source
         self.text = source.text
-        self.pos = 0
         self.tolerant = tolerant
 
     def tokenize(self) -> list[Token]:
         """Tokenize the whole file, appending a single EOF token."""
+        locate = self.source.location
+        kinds, keywords = _KINDS, KEYWORDS
+        ident, keyword = TokenKind.IDENT, TokenKind.KEYWORD
         tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.text):
-                tokens.append(Token(TokenKind.EOF, "", self._loc(self.pos)))
-                return tokens
-            tokens.append(self._next_token())
-
-    # -- internals ---------------------------------------------------------
-
-    def _loc(self, offset: int) -> Location:
-        return self.source.location(min(offset, len(self.text)))
-
-    def _skip_whitespace_and_comments(self) -> None:
-        text, n = self.text, len(self.text)
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch in " \t\r\n\f\v":
-                self.pos += 1
-            elif ch == "#":
-                self._skip_directive()
-            elif text.startswith("//", self.pos):
-                while self.pos < n and text[self.pos] != "\n":
-                    self.pos += 1
-            elif text.startswith("/*", self.pos):
-                end = text.find("*/", self.pos + 2)
-                if end == -1:
+        append = tokens.append
+        for match in _SCANNER.finditer(self.text):
+            index = match.lastindex
+            location = locate(match.start(index))
+            kind = kinds[index]
+            text = match.group(index)
+            if kind is ident:
+                if text in keywords:
+                    kind = keyword
+            elif kind is None:
+                group = match.lastgroup
+                if group == "end":
+                    break
+                if group == "open_comment":
                     if self.tolerant:
-                        # Close the comment at EOF; the rest of the file
-                        # is comment-like anyway.
-                        self.pos = n
-                        return
-                    raise LexError("unterminated block comment", self._loc(self.pos))
-                self.pos = end + 2
-            else:
-                return
-
-    def _skip_directive(self) -> None:
-        """Skip a preprocessor directive.
-
-        ``#include`` consumes only its filename (so the metal preamble
-        ``{ #include "flash-includes.h" }`` keeps its closing brace);
-        every other directive is skipped to end of line, honouring
-        backslash continuations.
-        """
-        text, n = self.text, len(self.text)
-        self.pos += 1  # '#'
-        while self.pos < n and text[self.pos] in " \t":
-            self.pos += 1
-        start = self.pos
-        while self.pos < n and text[self.pos] in _IDENT_CONT:
-            self.pos += 1
-        directive = text[start:self.pos]
-        if directive == "include":
-            while self.pos < n and text[self.pos] in " \t":
-                self.pos += 1
-            if self.pos < n and text[self.pos] == '"':
-                end = text.find('"', self.pos + 1)
-                self.pos = n if end == -1 else end + 1
-            elif self.pos < n and text[self.pos] == "<":
-                end = text.find(">", self.pos + 1)
-                self.pos = n if end == -1 else end + 1
-            return
-        while self.pos < n and text[self.pos] != "\n":
-            if text[self.pos] == "\\" and self.pos + 1 < n and text[self.pos + 1] == "\n":
-                self.pos += 1
-            self.pos += 1
-
-    def _next_token(self) -> Token:
-        ch = self.text[self.pos]
-        if ch in _IDENT_START:
-            return self._lex_ident()
-        if ch in _DIGITS or (ch == "." and self._peek(1) in _DIGITS):
-            return self._lex_number()
-        if ch == '"':
-            return self._lex_string()
-        if ch == "'":
-            return self._lex_char()
-        return self._lex_punct()
-
-    def _peek(self, ahead: int) -> str:
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else ""
-
-    def _lex_ident(self) -> Token:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CONT:
-            self.pos += 1
-        text = self.text[start:self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, self._loc(start))
-
-    def _lex_number(self) -> Token:
-        start = self.pos
-        text = self.text
-        is_float = False
-        if text.startswith(("0x", "0X"), self.pos):
-            self.pos += 2
-            while self.pos < len(text) and text[self.pos] in _HEX_DIGITS:
-                self.pos += 1
-        else:
-            while self.pos < len(text) and text[self.pos] in _DIGITS:
-                self.pos += 1
-            if self.pos < len(text) and text[self.pos] == "." and self._peek(1) != ".":
-                is_float = True
-                self.pos += 1
-                while self.pos < len(text) and text[self.pos] in _DIGITS:
-                    self.pos += 1
-            if self.pos < len(text) and text[self.pos] in "eE":
-                nxt = self._peek(1)
-                if nxt in _DIGITS or (nxt in "+-" and self._peek(2) in _DIGITS):
-                    is_float = True
-                    self.pos += 1
-                    if text[self.pos] in "+-":
-                        self.pos += 1
-                    while self.pos < len(text) and text[self.pos] in _DIGITS:
-                        self.pos += 1
-        # Suffixes: u/U/l/L for ints, f/F/l/L for floats.
-        while self.pos < len(text) and text[self.pos] in "uUlLfF":
-            if text[self.pos] in "fF":
-                is_float = True
-            self.pos += 1
-        kind = TokenKind.FLOAT_LIT if is_float else TokenKind.INT_LIT
-        return Token(kind, text[start:self.pos], self._loc(start))
-
-    def _lex_string(self) -> Token:
-        start = self.pos
-        self.pos += 1
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch == "\\":
-                self.pos += 2
-                continue
-            if ch == '"':
-                self.pos += 1
-                return Token(TokenKind.STRING_LIT, text[start:self.pos], self._loc(start))
-            if ch == "\n":
-                break
-            self.pos += 1
-        if self.tolerant:
-            # Close the literal at end of line / end of file.
-            return Token(TokenKind.STRING_LIT,
-                         self.text[start:self.pos] + '"', self._loc(start))
-        raise LexError("unterminated string literal", self._loc(start))
-
-    def _lex_char(self) -> Token:
-        start = self.pos
-        self.pos += 1
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch == "\\":
-                self.pos += 2
-                continue
-            if ch == "'":
-                self.pos += 1
-                return Token(TokenKind.CHAR_LIT, text[start:self.pos], self._loc(start))
-            if ch == "\n":
-                break
-            self.pos += 1
-        if self.tolerant:
-            return Token(TokenKind.CHAR_LIT,
-                         self.text[start:self.pos] + "'", self._loc(start))
-        raise LexError("unterminated character literal", self._loc(start))
-
-    def _lex_punct(self) -> Token:
-        for punct in PUNCTUATION:
-            if self.text.startswith(punct, self.pos):
-                tok = Token(TokenKind.PUNCT, punct, self._loc(self.pos))
-                self.pos += len(punct)
-                return tok
-        if self.tolerant:
-            # Group a maximal run of unclassifiable bytes into a single
-            # UNKNOWN token, so byte soup does not produce one token per
-            # byte.
-            start = self.pos
-            while (self.pos < len(self.text)
-                   and not self._classifiable(self.text[self.pos])):
-                self.pos += 1
-            return Token(TokenKind.UNKNOWN, self.text[start:self.pos],
-                         self._loc(start))
-        raise LexError(
-            f"unexpected character {self.text[self.pos]!r}", self._loc(self.pos)
-        )
-
-    def _classifiable(self, ch: str) -> bool:
-        """Could ``ch`` start an ordinary token (or whitespace)?"""
-        if ch in " \t\r\n\f\v#":
-            return True
-        if ch in _IDENT_START or ch in _DIGITS or ch in "\"'.":
-            return True
-        return any(p.startswith(ch) for p in PUNCTUATION)
+                        break  # the rest of the file is comment
+                    raise LexError("unterminated block comment", location)
+                if group == "unknown":
+                    if not self.tolerant:
+                        raise LexError(f"unexpected character {text[0]!r}",
+                                       location)
+                    kind = TokenKind.UNKNOWN
+                else:
+                    quote, kind, message = _UNTERMINATED[group]
+                    if not self.tolerant:
+                        raise LexError(message, location)
+                    text += quote  # close the literal at end of line
+            append(Token(kind, text, location))
+        append(Token(TokenKind.EOF, "", locate(len(self.text))))
+        return tokens
 
 
 def tokenize(text: str, filename: str = "<input>",

@@ -60,6 +60,10 @@ _BINOP_LEVELS = (
     ("*", "/", "%"),
 )
 
+#: Binary operator -> its index in ``_BINOP_LEVELS`` (higher binds tighter).
+_BINOP_PRECEDENCE = {op: level for level, ops in enumerate(_BINOP_LEVELS)
+                     for op in ops}
+
 _UNARY_OPS = frozenset("+ - ! ~ * & ++ --".split())
 
 #: Valid values for the frontend ``mode`` flag (``--frontend``).
@@ -689,16 +693,21 @@ class Parser:
                                location=cond.location)
         return cond
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINOP_LEVELS):
-            return self._parse_unary()
-        ops = _BINOP_LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self.tok.kind is TokenKind.PUNCT and self.tok.text in ops:
-            op = self.advance().text
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: a chain of binary operators whose levels
+        are all at least ``min_level``, grouped left-associatively."""
+        left = self._parse_unary()
+        while True:
+            tok = self.tok
+            if tok.kind is not TokenKind.PUNCT:
+                return left
+            level = _BINOP_PRECEDENCE.get(tok.text)
+            if level is None or level < min_level:
+                return left
+            self.advance()
             right = self._parse_binary(level + 1)
-            left = ast.BinaryOp(op=op, left=left, right=right, location=left.location)
-        return left
+            left = ast.BinaryOp(op=tok.text, left=left, right=right,
+                                location=left.location)
 
     def _parse_unary(self) -> ast.Expr:
         tok = self.tok

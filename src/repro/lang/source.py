@@ -7,6 +7,8 @@ how xg++ reports errors against the original FLASH source.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
@@ -45,6 +47,9 @@ def unknown_location() -> Location:
     return _UNKNOWN
 
 
+_NEWLINE = re.compile("\n")
+
+
 @dataclass
 class SourceFile:
     """A named piece of source text plus per-line offsets for diagnostics."""
@@ -54,24 +59,14 @@ class SourceFile:
     _line_starts: list[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
-        starts = [0]
-        for i, ch in enumerate(self.text):
-            if ch == "\n":
-                starts.append(i + 1)
-        self._line_starts = starts
+        self._line_starts = [0, *(m.end() for m in _NEWLINE.finditer(self.text))]
 
     def location(self, offset: int) -> Location:
         """Map a character offset to a (line, column) :class:`Location`."""
         if offset < 0 or offset > len(self.text):
             raise ValueError(f"offset {offset} out of range for {self.name}")
-        lo, hi = 0, len(self._line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._line_starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return Location(self.name, lo + 1, offset - self._line_starts[lo] + 1)
+        line = bisect_right(self._line_starts, offset)
+        return Location(self.name, line, offset - self._line_starts[line - 1] + 1)
 
     def line_text(self, line: int) -> str:
         """Return the text of 1-based ``line`` without its newline."""

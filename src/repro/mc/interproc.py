@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TypeVar
 
-import networkx as nx
-
 from ..cfg.callgraph import CallGraph, FlowGraph
 
 Summary = TypeVar("Summary")
@@ -36,6 +34,8 @@ def bottom_up(
     (see the lanes checker) and keep any report emission *outside* the
     memoized computation, since reports are per-run state.
     """
+    import networkx as nx
+
     condensation = nx.condensation(callgraph.nx)
     summaries: dict[str, Summary] = {}
     for scc_id in reversed(list(nx.topological_sort(condensation))):

@@ -500,3 +500,46 @@ class TestGeneratedCorpus:
         boosted = score_run(run, dynamically_confirmed=tab.confirmed_keys)
         raised = [k for k in tab.confirmed_keys if boosted[k] > plain[k]]
         assert raised
+
+
+class TestCampaignParsesOnce:
+    """The CLI parses the units to build the dispatch table; the static
+    check and the shards then reuse that parse from the memo."""
+
+    def test_each_unit_is_parsed_once(self, tmp_path, monkeypatch, capsys):
+        from unittest import mock
+
+        from repro import cli
+        from repro.flash.codegen import generate_protocol
+        from repro.flash.spec import dump_spec
+        from repro.lang import clear_memo, parser
+        from repro.project import Program
+
+        gp = generate_protocol("bitvector")
+        for name, text in gp.files.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "bitvector.spec").write_text(dump_spec(gp.info))
+        monkeypatch.chdir(tmp_path)
+        argv = ["campaign", *sorted(gp.files), "--spec", "bitvector.spec",
+                "--runs", "4", "--shard-size", "2", "--campaign-seed", "7",
+                "--jobs", "1", "--no-cache", "--format", "json"]
+
+        def campaign():
+            clear_memo()
+            with mock.patch("repro.project.parse", wraps=parser.parse) as a, \
+                    mock.patch("repro.lang.memo.parse", wraps=parser.parse) as b:
+                code = cli.main(argv)
+            return code, capsys.readouterr().out, a.call_count + b.call_count
+
+        code, out, parses = campaign()
+        assert parses == len(gp.files)
+        assert json.loads(out)["counters"]["confirmed"] >= 1
+
+        # Reference: the CLI's program parsed privately, outside the memo.
+        def private_program(files, info=None, unit_memo=False):
+            return Program(files, info=info)
+
+        with mock.patch.object(cli, "Program", private_program):
+            private_code, private_out, private_parses = campaign()
+        assert private_parses == 2 * len(gp.files)
+        assert (code, out) == (private_code, private_out)

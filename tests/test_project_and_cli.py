@@ -1,5 +1,10 @@
 """Program/ProtocolInfo model and CLI tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -183,3 +188,28 @@ void b(void) { h(); }
         # common carries one seeded (false positive) race report
         assert "Buffer not synchronized" in out
         assert code == 1
+
+    def test_warm_noop_check_does_not_import_networkx(self, tmp_path, capsys):
+        # networkx is imported where a call graph is built; a check whose
+        # every item is a cache hit builds none, so start-up skips it.
+        f = tmp_path / "clean.c"
+        f.write_text("""
+void util(void) {
+    SUBROUTINE_PROLOGUE();
+    return;
+}
+""")
+        argv = ["check", str(f), "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0  # cold: fills the cache
+        capsys.readouterr()
+        probe = ("import sys\n"
+                 "from repro.cli import main\n"
+                 f"code = main({argv!r})\n"
+                 "print(code, 'networkx' in sys.modules)\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert " 0 miss" in proc.stdout, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout
