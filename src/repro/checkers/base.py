@@ -18,7 +18,7 @@ from typing import Optional, Type
 
 from ..lang.source import Location
 from ..metal.runtime import Report, ReportSink
-from ..project import Program
+from ..project import Program, ProtocolInfo
 
 
 @dataclass
@@ -47,6 +47,11 @@ class CheckerResult:
     #: e.g. reports whose path crossed a tolerant-frontend opaque
     #: region (``suppressed_by="opaque"``).
     suppressed: list = field(default_factory=list)
+    #: A two-pass checker's per-unit facts (JSON-able), set by
+    #: :meth:`Checker.local` and consumed by :meth:`Checker.link`.
+    #: ``None`` on every linked or single-pass result, and on a part
+    #: that never completed (skipped, poisoned, crashed).
+    facts: Optional[object] = None
 
     @property
     def errors(self) -> list[Report]:
@@ -67,6 +72,12 @@ class Checker(ABC):
     Subclasses set :attr:`name` and :attr:`metal_loc` (the size of the
     equivalent metal extension, reported in Table 7) and implement
     :meth:`check`.
+
+    Inter-procedural checkers take the paper's two-pass form (§3.2,
+    §7): :meth:`local` runs over one translation unit and leaves its
+    facts on the part it returns, and :meth:`link` builds the
+    whole-program result from the parts.  Such a checker's ``check`` is
+    ``link([local(program)], program.info)``.
     """
 
     #: Stable identifier, used in reports and benchmark tables.
@@ -76,13 +87,26 @@ class Checker(ABC):
     #: True when ``check`` over a single translation unit produces the
     #: same diagnostics as over the whole program (per-function
     #: analyses).  The parallel driver fans such checkers out one unit
-    #: at a time; inter-procedural checkers (lanes, exec-restrict) set
-    #: this False and run as one whole-program work item.
+    #: at a time.  Inter-procedural checkers set this False: one that
+    #: overrides :meth:`link` (lanes, exec-restrict) runs ``local`` per
+    #: unit and links in the parent; one without runs as a single
+    #: whole-program work item.
     unit_parallel: bool = True
 
     @abstractmethod
     def check(self, program: Program) -> CheckerResult:
         """Run over ``program`` and return the result."""
+
+    def local(self, program: Program) -> CheckerResult:
+        """The per-unit pass: a part whose ``facts`` :meth:`link` reads.
+        Single-pass checkers need no facts, so the default is ``check``."""
+        return self.check(program)
+
+    def link(self, parts: list[CheckerResult],
+             info: ProtocolInfo) -> CheckerResult:
+        """The global pass: one result from the parts, in unit order."""
+        from ..mc.parallel import merge_parts
+        return merge_parts(self.name, parts)
 
     # -- shared helpers ------------------------------------------------------
 
@@ -99,6 +123,17 @@ class Checker(ABC):
         result.provenance = dict(getattr(sink, "provenance", {}))
         result.suppressed = list(getattr(sink, "suppressed", []))
         return result
+
+
+def carry_degradation(result: CheckerResult,
+                      parts: list[CheckerResult]) -> CheckerResult:
+    """Append every part's quarantines and degradation notes to
+    ``result``, in part order, and mark it degraded if any part was."""
+    for part in parts:
+        result.quarantines.extend(part.quarantines)
+        result.degradation_notes.extend(part.degradation_notes)
+        result.degraded = result.degraded or part.degraded
+    return result
 
 
 _REGISTRY: dict[str, Type[Checker]] = {}

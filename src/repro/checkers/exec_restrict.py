@@ -27,12 +27,15 @@ Table 5's "Handlers" and "Vars" columns are reported via
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..flash import machine
 from ..lang import ast, ctypes
 from ..lang.source import Location
+from ..mc.cache import report_from_obj, report_to_obj
 from ..metal.runtime import Report, ReportSink
 from ..project import Program, ProtocolInfo
-from .base import Checker, CheckerResult, register
+from .base import Checker, CheckerResult, carry_degradation, register
 
 #: Names that are FLASH environment macros, not real subroutine calls —
 #: calling these from a no-stack handler needs no SET_STACKPTR.
@@ -62,48 +65,109 @@ def _first_call_stmts(function: ast.FunctionDef) -> list[str]:
     return names
 
 
+class _Body:
+    """What the rules need from one function body, gathered in one walk."""
+
+    __slots__ = ("decls", "deprecated", "nostack_calls", "address_of")
+
+    def __init__(self, function: ast.FunctionDef):
+        #: Every local declaration, in walk order.
+        self.decls: list[ast.VarDecl] = []
+        #: Calls of deprecated macros, in walk order.
+        self.deprecated: list[ast.Call] = []
+        self.nostack_calls = 0
+        #: ``&name`` operands, checked against the locals after the walk.
+        self.address_of: list[ast.UnaryOp] = []
+        for node in function.walk():
+            if isinstance(node, ast.DeclStmt):
+                self.decls.extend(node.decls)
+            elif isinstance(node, ast.Call):
+                if node.callee_name in machine.DEPRECATED_MACROS:
+                    self.deprecated.append(node)
+                elif node.callee_name == machine.NOSTACK:
+                    self.nostack_calls += 1
+            elif (isinstance(node, ast.UnaryOp) and node.op == "&"
+                    and isinstance(node.operand, ast.Ident)):
+                self.address_of.append(node)
+
+
+def _call_name(stmt: Optional[ast.Stmt]) -> Optional[str]:
+    """The callee of a statement that is a bare named call, else None."""
+    if isinstance(stmt, ast.ExprStmt) and isinstance(stmt.expr, ast.Call):
+        return stmt.expr.callee_name
+    return None
+
+
 @register
 class ExecRestrictChecker(Checker):
     """Signature, stack, deprecated-macro, and simulator-hook rules."""
 
     name = "exec-restrict"
     metal_loc = 84
-    #: The nostack rule follows calls into other files; one work item.
+    #: The nostack rule follows calls into other files.
     unit_parallel = False
 
     def check(self, program: Program) -> CheckerResult:
+        return self.link([self.local(program)], program.info)
+
+    def local(self, program: Program) -> CheckerResult:
+        """Every rule over the unit, except that a SET_STACKPTR site
+        whose verdict turns on whether its callee is defined anywhere
+        becomes a candidate in the facts, next to the unit's defined
+        names, for :meth:`link` to resolve."""
         result, sink = self._new_result()
         info = program.info
+        candidates: list[list] = []
         handlers_checked = 0
         vars_checked = 0
         for function in program.functions():
+            body = _Body(function)
             handlers_checked += 1
-            vars_checked += self._count_vars(function)
+            vars_checked += (sum(1 for p in function.params if p.name)
+                             + len(body.decls))
             kind = info.kind_of(function.name)
             if kind in ("hw", "sw"):
                 self._check_signature(function, sink)
-            self._check_deprecated(function, sink)
+            self._check_deprecated(function, body, sink)
             self._check_hooks(function, kind, sink)
             handler = info.handler(function.name)
             declared_nostack = handler is not None and handler.nostack
-            annotated_nostack = self._count_nostack_annotations(function) > 0
-            if declared_nostack or annotated_nostack:
-                self._check_nostack_annotation(function, sink)
-                self._check_nostack(program, function, sink)
+            if declared_nostack or body.nostack_calls > 0:
+                self._check_nostack_annotation(function, body, sink)
+                self._check_nostack(program, function, body, sink)
+                self._check_stackptr_discipline(function, sink, candidates)
         result.applied = handlers_checked
         result.extra["handlers_checked"] = handlers_checked
         result.extra["vars_checked"] = vars_checked
-        return self._finish(result, sink)
+        result = self._finish(result, sink)
+        result.facts = {
+            "defined": [f.name for f in program.functions()],
+            "candidates": candidates,
+        }
+        return result
+
+    def link(self, parts: list[CheckerResult],
+             info: ProtocolInfo) -> CheckerResult:
+        """Each part's reports, with its candidates resolved against
+        every unit's defined names and put back where they were found."""
+        result, sink = self._new_result()
+        defined = {name for part in parts for name in part.facts["defined"]}
+        for part in parts:
+            found: dict[int, list] = {}
+            for position, callee, if_defined, obj in part.facts["candidates"]:
+                if (callee in defined) == if_defined:
+                    found.setdefault(position, []).append(obj)
+            for position, report in enumerate([*part.reports, None]):
+                for obj in found.get(position, ()):
+                    sink.add(report_from_obj(obj))
+                if report is not None:
+                    sink.add(report)
+            result.applied += part.applied
+            for key in ("handlers_checked", "vars_checked"):
+                result.extra[key] = result.extra.get(key, 0) + part.extra[key]
+        return carry_degradation(self._finish(result, sink), parts)
 
     # -- individual rules ---------------------------------------------------
-
-    @staticmethod
-    def _count_vars(function: ast.FunctionDef) -> int:
-        count = sum(1 for p in function.params if p.name)
-        for node in function.walk():
-            if isinstance(node, ast.DeclStmt):
-                count += len(node.decls)
-        return count
 
     def _check_signature(self, function: ast.FunctionDef, sink: ReportSink) -> None:
         if not function.return_type.is_void:
@@ -119,16 +183,15 @@ class ExecRestrictChecker(Checker):
                 location=function.location, function=function.name,
             ))
 
-    def _check_deprecated(self, function: ast.FunctionDef, sink: ReportSink) -> None:
-        for node in function.walk():
-            if (isinstance(node, ast.Call)
-                    and node.callee_name in machine.DEPRECATED_MACROS):
-                sink.add(Report(
-                    checker=self.name,
-                    message=f"deprecated macro {node.callee_name} used",
-                    location=node.location, function=function.name,
-                    severity="warning",
-                ))
+    def _check_deprecated(self, function: ast.FunctionDef, body: _Body,
+                          sink: ReportSink) -> None:
+        for node in body.deprecated:
+            sink.add(Report(
+                checker=self.name,
+                message=f"deprecated macro {node.callee_name} used",
+                location=node.location, function=function.name,
+                severity="warning",
+            ))
 
     def _check_hooks(self, function: ast.FunctionDef, kind: str,
                      sink: ReportSink) -> None:
@@ -154,18 +217,10 @@ class ExecRestrictChecker(Checker):
                 location=function.location, function=function.name,
             ))
 
-    @staticmethod
-    def _count_nostack_annotations(function: ast.FunctionDef) -> int:
-        return sum(
-            1 for node in function.walk()
-            if isinstance(node, ast.Call)
-            and node.callee_name == machine.NOSTACK
-        )
-
     def _check_nostack_annotation(self, function: ast.FunctionDef,
-                                  sink: ReportSink) -> None:
+                                  body: _Body, sink: ReportSink) -> None:
         """§8: exactly one NOSTACK() at the beginning of the handler."""
-        count = self._count_nostack_annotations(function)
+        count = body.nostack_calls
         if count != 1:
             sink.add(Report(
                 checker=self.name,
@@ -195,15 +250,13 @@ class ExecRestrictChecker(Checker):
             return
 
     def _check_nostack(self, program: Program, function: ast.FunctionDef,
-                       sink: ReportSink) -> None:
+                       body: _Body, sink: ReportSink) -> None:
         local_names = {p.name for p in function.params if p.name}
         local_count = len(local_names)
-        for node in function.walk():
-            if isinstance(node, ast.DeclStmt):
-                for decl in node.decls:
-                    local_names.add(decl.name)
-                    local_count += 1
-                    self._check_aggregate(program, decl, function, sink)
+        for decl in body.decls:
+            local_names.add(decl.name)
+            local_count += 1
+            self._check_aggregate(program, decl, function, sink)
         if local_count > machine.NOSTACK_MAX_LOCALS:
             sink.add(Report(
                 checker=self.name,
@@ -212,17 +265,14 @@ class ExecRestrictChecker(Checker):
                          f"{machine.NOSTACK_MAX_LOCALS})"),
                 location=function.location, function=function.name,
             ))
-        for node in function.walk():
-            if (isinstance(node, ast.UnaryOp) and node.op == "&"
-                    and isinstance(node.operand, ast.Ident)
-                    and node.operand.name in local_names):
+        for node in body.address_of:
+            if node.operand.name in local_names:
                 sink.add(Report(
                     checker=self.name,
                     message=(f"no-stack handler {function.name} takes the "
                              f"address of local {node.operand.name!r}"),
                     location=node.location, function=function.name,
                 ))
-        self._check_stackptr_discipline(program, function, sink)
 
     def _check_aggregate(self, program: Program, decl: ast.VarDecl,
                          function: ast.FunctionDef, sink: ReportSink) -> None:
@@ -263,46 +313,53 @@ class ExecRestrictChecker(Checker):
             return None
         return struct.size_bits()
 
-    def _check_stackptr_discipline(self, program: Program,
-                                   function: ast.FunctionDef,
-                                   sink: ReportSink) -> None:
-        defined = {f.name for f in program.functions()}
+    def _check_stackptr_discipline(self, function: ast.FunctionDef,
+                                   sink: ReportSink,
+                                   candidates: list[list]) -> None:
+        """Every call out of a no-stack function is preceded by
+        ``SET_STACKPTR``, and every ``SET_STACKPTR`` precedes a call.
+        A call counts only when its callee is defined in the program,
+        which :meth:`link` decides: such sites become ``[position,
+        callee, report-if-defined, report]`` candidates, ``position``
+        being the number of reports the sink held when the site was
+        reached."""
 
-        def is_real_call(stmt: ast.Stmt) -> bool:
-            if not isinstance(stmt, ast.ExprStmt):
-                return False
-            expr = stmt.expr
-            if not isinstance(expr, ast.Call) or expr.callee_name is None:
-                return False
-            name = expr.callee_name
-            return name not in _MACRO_NAMES and name in defined
+        def real_callee(stmt: Optional[ast.Stmt]) -> Optional[str]:
+            name = _call_name(stmt)
+            return name if name not in _MACRO_NAMES else None
 
-        def is_set_stackptr(stmt: ast.Stmt) -> bool:
-            return (isinstance(stmt, ast.ExprStmt)
-                    and isinstance(stmt.expr, ast.Call)
-                    and stmt.expr.callee_name == machine.SET_STACKPTR)
+        def candidate(callee: str, if_defined: bool, stmt: ast.Stmt,
+                      message: str) -> None:
+            report = Report(checker=self.name,
+                            message=f"{function.name}: {message}",
+                            location=stmt.location, function=function.name)
+            candidates.append([len(sink), callee, if_defined,
+                               report_to_obj(report)])
 
         def scan(block: ast.Block) -> None:
             stmts = block.stmts
             for i, stmt in enumerate(stmts):
-                if is_set_stackptr(stmt):
+                if _call_name(stmt) == machine.SET_STACKPTR:
                     nxt = stmts[i + 1] if i + 1 < len(stmts) else None
-                    if nxt is None or not is_real_call(nxt):
+                    callee = real_callee(nxt)
+                    if callee is None:
                         sink.add(Report(
                             checker=self.name,
                             message=(f"{function.name}: SET_STACKPTR not "
                                      "followed by a call"),
                             location=stmt.location, function=function.name,
                         ))
-                elif is_real_call(stmt):
+                    else:
+                        candidate(callee, False, stmt,
+                                  "SET_STACKPTR not followed by a call")
+                else:
+                    callee = real_callee(stmt)
                     prev = stmts[i - 1] if i > 0 else None
-                    if prev is None or not is_set_stackptr(prev):
-                        sink.add(Report(
-                            checker=self.name,
-                            message=(f"{function.name}: call without "
-                                     "SET_STACKPTR in no-stack handler"),
-                            location=stmt.location, function=function.name,
-                        ))
+                    if (callee is not None
+                            and _call_name(prev) != machine.SET_STACKPTR):
+                        candidate(callee, True, stmt,
+                                  "call without SET_STACKPTR in no-stack "
+                                  "handler")
                 for child in stmt.children():
                     if isinstance(child, ast.Block):
                         scan(child)

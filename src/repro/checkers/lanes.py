@@ -31,8 +31,8 @@ from ..mc.cache import AnalysisMemo
 from ..mc.interproc import bottom_up
 from ..metal.runtime import Report
 from ..obs.metrics import current_metrics
-from ..project import Program
-from .base import Checker, CheckerResult, register
+from ..project import Program, ProtocolInfo
+from .base import Checker, CheckerResult, carry_degradation, register
 
 LANES = machine.LANE_COUNT
 
@@ -244,16 +244,26 @@ class LaneChecker(Checker):
 
     name = "lanes"
     metal_loc = 220
-    #: The global pass links flow graphs across files; one work item.
+    #: The global pass links flow graphs across files.
     unit_parallel = False
 
     def check(self, program: Program) -> CheckerResult:
-        result, sink = self._new_result()
-        # Local pass: emit annotated flow graphs.
-        graphs = [
-            emit_flowgraph(program.cfg(f), annotate=annotate_lanes)
+        return self.link([self.local(program)], program.info)
+
+    def local(self, program: Program) -> CheckerResult:
+        """Emit the unit's annotated flow graphs as the part's facts."""
+        result = CheckerResult(checker=self.name)
+        result.facts = [
+            emit_flowgraph(program.cfg(f), annotate=annotate_lanes).to_json()
             for f in program.functions()
         ]
+        return result
+
+    def link(self, parts: list[CheckerResult],
+             info: ProtocolInfo) -> CheckerResult:
+        result, sink = self._new_result()
+        graphs = [FlowGraph.from_json(obj) for part in parts
+                  for obj in part.facts]
         callgraph = CallGraph(graphs)
         # Global pass: bottom-up summaries with the fixed-point cycle rule.
         warned_cycles: set[frozenset] = set()
@@ -301,7 +311,11 @@ class LaneChecker(Checker):
             if ann and ann.get("sends")
         )
 
-        for handler in program.info.handlers.values():
+        # A name defined in several units reports at its first definition.
+        file_of: dict[str, str] = {}
+        for graph in graphs:
+            file_of.setdefault(graph.function, graph.filename)
+        for handler in info.handlers.values():
             if handler.kind == "proc":
                 continue
             summary = summaries.get(handler.name)
@@ -324,16 +338,9 @@ class LaneChecker(Checker):
                             "WAIT_FOR_SPACE before the extra send)"
                         ),
                         location=Location(
-                            self._file_of(program, fname), int(line or 1), 1
+                            file_of.get(fname, "<unknown>"), int(line or 1), 1
                         ),
                         function=handler.name,
                         backtrace=tuple(frames[:-1]),
                     ))
-        return self._finish(result, sink)
-
-    @staticmethod
-    def _file_of(program: Program, function_name: str) -> str:
-        try:
-            return program.function(function_name).location.filename
-        except KeyError:
-            return "<unknown>"
+        return carry_degradation(self._finish(result, sink), parts)

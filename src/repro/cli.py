@@ -1018,9 +1018,22 @@ def cmd_diff(args) -> int:
     return EXIT_BUGS if diff["regression"] else EXIT_CLEAN
 
 
+def _jobs_arg(text: str) -> int:
+    """``--jobs`` as a worker count.  argparse applies it to the
+    ``$MC_CHECK_JOBS`` default too, so a bad value of either is a usage
+    error (exit 2), not a traceback."""
+    try:
+        return resolve_jobs(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r} (from --jobs or $MC_CHECK_JOBS): "
+            "expected a worker count or 'auto'") from None
+
+
 def _add_fleet_flags(parser: argparse.ArgumentParser) -> None:
     """Worker-pool and result-cache flags shared by check/metal."""
-    parser.add_argument("--jobs", default=os.environ.get("MC_CHECK_JOBS", "1"),
+    parser.add_argument("--jobs", type=_jobs_arg,
+                        default=os.environ.get("MC_CHECK_JOBS", "1"),
                         metavar="N|auto",
                         help="fan (checker, file) work items across N worker "
                              "processes; 'auto' uses every core "

@@ -224,8 +224,9 @@ def quarantine_from_obj(obj: dict) -> Quarantine:
 
 
 def result_to_payload(result) -> dict:
-    """Serialise a :class:`repro.checkers.base.CheckerResult` to JSON-able data."""
-    return {
+    """Serialise a :class:`repro.checkers.base.CheckerResult` to JSON-able
+    data; a two-pass checker's unit part also carries its ``facts``."""
+    payload = {
         "schema": SCHEMA_VERSION,
         "checker": result.checker,
         "reports": [report_to_obj(r) for r in result.reports],
@@ -239,6 +240,9 @@ def result_to_payload(result) -> dict:
         "suppressed": [[report_to_obj(r), why]
                        for r, why in getattr(result, "suppressed", [])],
     }
+    if getattr(result, "facts", None) is not None:
+        payload["facts"] = result.facts
+    return payload
 
 
 def result_from_payload(payload: dict):
@@ -255,6 +259,7 @@ def result_from_payload(payload: dict):
     result.provenance = provenance_from_obj(payload.get("provenance", []))
     result.suppressed = [(report_from_obj(o), why)
                          for o, why in payload.get("suppressed", [])]
+    result.facts = payload.get("facts")
     return result
 
 

@@ -5,8 +5,14 @@ function — embarrassingly parallel work this module schedules as
 (checker, unit) **work items** over a :class:`multiprocessing` pool:
 
 * per-function checkers (``Checker.unit_parallel``) get one item per
-  translation unit; inter-procedural checkers (lanes, exec-restrict)
-  run as a single whole-program item;
+  translation unit;
+* two-pass checkers (lanes, exec-restrict: they override
+  ``Checker.link``) get a *link item* keyed like a whole-program item.
+  On a store miss it expands into one ``local`` item per unit, each
+  stored under its own key, and the parent links their parts in unit
+  order and stores the result, so an edit re-runs the local pass over
+  the edited unit only; a hit never expands.  Other inter-procedural
+  checkers run as a single whole-program item;
 * items are scheduled **largest first** (by source size) so the long
   poles start early and tail latency stays low;
 * the queue carries *paths and checker names*, never pickled ASTs —
@@ -83,6 +89,8 @@ class WorkItem:
 
     kind: str                 # "checker" (registered) | "metal" (textual)
                               # | "campaign" (simulation shard)
+                              # | "local" (a two-pass checker's unit part)
+                              # | "link" (its linked result, parent-side)
     checker: str              # registered checker name; "" for metal/campaign
     paths: tuple              # one unit, or every unit for global items
     weight: int               # source bytes — schedule largest first
@@ -205,7 +213,7 @@ def _past_deadline(config: WorkerConfig) -> bool:
 
 
 def _item_label(item: WorkItem, config: WorkerConfig) -> str:
-    if item.kind == "checker":
+    if item.checker:
         return item.checker
     if item.kind == "campaign":
         return f"campaign-shard-{item.index}"
@@ -279,8 +287,32 @@ def _input_quarantines(label: str, units) -> list[Quarantine]:
     return records
 
 
+def _guarded(name: str, config: WorkerConfig, run):
+    """``run()``'s :class:`CheckerResult`; if it raises, a quarantined
+    one when the checker is sandboxed, else the exception.
+
+    Pack checkers are sandboxed unconditionally: third-party code
+    raising becomes Quarantine(phase="pack") on that pack's result,
+    never a crashed worker or a failed fleet.  Builtins keep the opt-in
+    keep_going contract."""
+    from ..checkers.base import CheckerResult, is_pack_checker
+    try:
+        return run()
+    except Exception as exc:
+        from_pack = is_pack_checker(name)
+        if not config.keep_going and not from_pack:
+            raise
+        result = CheckerResult(checker=name, degraded=True)
+        result.quarantines.append(Quarantine(
+            checker=name, function="*",
+            phase="pack" if from_pack else "checker",
+            error_type=type(exc).__name__, message=str(exc),
+        ))
+        return result
+
+
 def _run_checker_item(item: WorkItem, config: WorkerConfig) -> dict:
-    from ..checkers.base import CheckerResult, get_checker
+    from ..checkers.base import get_checker
     from ..project import Program, read_sources
 
     name = item.checker
@@ -308,29 +340,35 @@ def _run_checker_item(item: WorkItem, config: WorkerConfig) -> dict:
         return _quarantine_payload(item, config, type(exc).__name__,
                                    str(exc), phase="input")
     checker = get_checker(name)
-    try:
-        result = checker.check(program)
-    except Exception as exc:
-        # Pack checkers are sandboxed unconditionally: third-party code
-        # raising becomes Quarantine(phase="pack") on that pack's
-        # result, never a crashed worker or a failed fleet.  Builtins
-        # keep the opt-in keep_going contract.
-        from ..checkers.base import is_pack_checker
-        from_pack = is_pack_checker(name)
-        if not config.keep_going and not from_pack:
-            raise
-        result = CheckerResult(checker=name, degraded=True)
-        result.quarantines.append(Quarantine(
-            checker=name, function="*",
-            phase="pack" if from_pack else "checker",
-            error_type=type(exc).__name__, message=str(exc),
-        ))
+    run = checker.local if item.kind == "local" else checker.check
+    result = _guarded(name, config, lambda: run(program))
     for quarantine in _input_quarantines(name, program.units.values()):
         result.quarantines.append(quarantine)
         result.degraded = True
         result.degradation_notes.append(
             f"[{name}] {quarantine.function}: unparseable region "
             f"quarantined — {quarantine.message}")
+    return result_to_payload(result)
+
+
+def _link_payload(item: WorkItem, config: WorkerConfig,
+                  parts: list) -> dict:
+    """The linked result of ``item``'s checker over its ``local``
+    parts.  A part without facts never completed (skipped, poisoned,
+    crashed): then the result carries the parts' quarantines and notes,
+    degraded and without reports, as a whole-program item that never
+    ran would."""
+    from ..checkers.base import CheckerResult, carry_degradation, get_checker
+    from ..project import ProtocolInfo
+
+    name = item.checker
+    if any(part.facts is None for part in parts):
+        result = carry_degradation(
+            CheckerResult(checker=name, degraded=True), parts)
+    else:
+        info = _spec_info(config) or ProtocolInfo()
+        result = _guarded(name, config,
+                          lambda: get_checker(name).link(parts, info))
     return result_to_payload(result)
 
 
@@ -391,7 +429,8 @@ def _execute_item_plain(item: WorkItem, config: WorkerConfig,
 
 #: This process's trace file handle, one per (pid, trace run).  Keyed by
 #: pid because forked workers inherit the parent's module state and must
-#: not share its file.
+#: not share its file, and by trace directory because the parent traces
+#: the items it runs itself in every traced run.
 _TRACER: Optional[tuple] = None
 
 
@@ -401,25 +440,32 @@ def _obs_tracer(config: WorkerConfig):
     global _TRACER
     if config.trace_dir is None:
         return NULL_TRACER
-    pid = os.getpid()
-    if _TRACER is None or _TRACER[0] != pid:
-        _TRACER = (pid, Tracer(Path(config.trace_dir)
-                               / f"worker-{pid}.jsonl"))
+    owner = (os.getpid(), config.trace_dir)
+    if _TRACER is None or _TRACER[0] != owner:
+        _TRACER = (owner, Tracer(Path(config.trace_dir)
+                                 / f"worker-{owner[0]}.jsonl"))
     return _TRACER[1]
 
 
 def _execute_item(item: WorkItem, config: WorkerConfig,
                   shared_budget: Optional[Budget] = None) -> dict:
-    """Execute one work item, observed when the config asks for it.
+    """Execute one work item, observed when the config asks for it."""
+    return _observed(item, config,
+                     lambda: _execute_item_plain(item, config, shared_budget))
+
+
+def _observed(item: WorkItem, config: WorkerConfig, execute) -> dict:
+    """``execute()``'s payload for ``item``, observed when the config
+    asks for it.
 
     Observation wraps — never alters — execution: a per-item metrics
     registry and this process's tracer are activated around
-    :func:`_execute_item_plain`, the item's counters/timings ship back
-    in the payload's ``obs`` section, and an item span (id
-    ``i<index>a<attempt>``) closes into the worker's trace file.
+    ``execute``, the item's counters/timings ship back in the payload's
+    ``obs`` section, and an item span (id ``i<index>a<attempt>``)
+    closes into the process's trace file.
     """
     if not config.collect_obs and config.trace_dir is None:
-        return _execute_item_plain(item, config, shared_budget)
+        return execute()
     from ..obs.metrics import MetricsRegistry, activate_metrics
     from ..obs.trace import activate_tracer
 
@@ -432,7 +478,7 @@ def _execute_item(item: WorkItem, config: WorkerConfig,
             if tracer.enabled else None)
     wall0, cpu0 = time.perf_counter(), time.process_time()
     try:
-        payload = _execute_item_plain(item, config, shared_budget)
+        payload = execute()
     except BaseException as exc:
         if span is not None:
             span.status = "error"
@@ -472,17 +518,23 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
                cache: Optional[ResultCache], keys: dict, decode,
                journal: Optional[RunJournal] = None,
                policy: Optional[SupervisorPolicy] = None,
-               observation=None,
+               observation=None, links: Optional[dict] = None,
                ) -> tuple[dict, Optional[Budget], RunStats]:
     """Resolve every item to its ``decode``-d result: read from the
     store when the resumed ``journal`` lists its key (a replay) or the
     run has a ``cache``, else executed (supervised pool or inline) and
     stored once, through the journal when there is one.
 
+    ``links`` maps a ``link`` item's index to its ``local`` part items.
+    A link item that is not in the store is resolved through its parts
+    instead — each looked up or executed like any other item — and then
+    linked here in the parent (:func:`_link_payload`) and stored.
+
     ``observation`` (a :class:`repro.obs.Observation`, optional) sees
-    every item exactly once: fresh completions via ``absorb_payload``,
-    everything resolved parent-side — journal replays, cache hits,
-    poison quarantines, interruption skips — via ``item_resolved``.
+    every item exactly once: fresh completions and links via
+    ``absorb_payload``, everything else resolved parent-side — journal
+    replays, cache hits, poison quarantines, interruption skips — via
+    ``item_resolved``.
 
     Returns ``(results by item index, shared serial budget or None,
     supervision stats)``.
@@ -491,30 +543,37 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
 
     policy = policy if policy is not None else SupervisorPolicy()
     stats = RunStats()
+    links = links or {}
     results: dict = {}
     payloads: dict[int, dict] = {}   # executed (or skipped) items
     pending: list[WorkItem] = []
+    to_link: list[WorkItem] = []
 
     def resolved(item: WorkItem, status: str) -> None:
         if observation is not None:
             observation.item_resolved(item, _item_label(item, config),
                                       status)
 
-    if observation is not None:
-        observation.set_item_total(len(items))
-    for item in items:
+    items = list(items)
+    for item in items:   # grows by the parts of every link that misses
         key = keys.get(item.index)
         listed = journal is not None and key in journal
         store = journal.store if listed else cache
         value = (store.get(key, decode)
                  if store is not None and key is not None else None)
         if value is None:
-            pending.append(item)
+            if item.index in links:
+                to_link.append(item)
+                items.extend(links[item.index])
+            else:
+                pending.append(item)
             continue
         results[item.index] = value
         if listed:
             stats.replayed += 1
         resolved(item, "replayed" if listed else "cached")
+    if observation is not None:
+        observation.set_item_total(len(items))
 
     def record(item: WorkItem, payload: dict) -> None:
         if observation is not None:
@@ -600,6 +659,13 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
             run_inline()
     for index, payload in payloads.items():
         results[index] = decode(payload)
+    for item in to_link:
+        parts = [results[part.index] for part in links[item.index]]
+        payload = _observed(item, config,
+                            lambda: _link_payload(item, config, parts))
+        stats.completed += 1
+        record(item, payload)
+        results[item.index] = decode(payload)
     return results, shared_budget, stats
 
 
@@ -669,7 +735,9 @@ def merge_parts(checker: str, parts: list):
 def _item_keys(items: list, sources: dict, checker_fp, spec_fp: str,
                config_fp: str) -> dict:
     """Store key per item index; an item whose ``checker_fp(item)`` is
-    ``None`` (a checker without locatable source) is uncacheable."""
+    ``None`` (a checker without locatable source) is uncacheable.  A
+    ``local`` part's key is marked, so it never equals the key of the
+    link item of a one-unit program."""
     engine_fp = engine_fingerprint()
     digests = {p: source_fingerprint(t) for p, t in sources.items()}
     keys = {}
@@ -678,7 +746,9 @@ def _item_keys(items: list, sources: dict, checker_fp, spec_fp: str,
         if fp is not None:
             keys[item.index] = work_item_key(
                 checker_fp=fp, units=[(p, digests[p]) for p in item.paths],
-                spec_fp=spec_fp, engine_fp=engine_fp, config_fp=config_fp)
+                spec_fp=spec_fp, engine_fp=engine_fp,
+                config_fp=(f"{config_fp},pass=local"
+                           if item.kind == "local" else config_fp))
     return keys
 
 
@@ -735,7 +805,7 @@ def check_files(paths: list, *, names: Optional[list] = None,
     (``--frontend strict|tolerant``).  Both are part of every store
     key, so runs with different settings never share entries.
     """
-    from ..checkers.base import checker_names, get_checker
+    from ..checkers.base import Checker, checker_names, get_checker
     from ..project import read_sources
 
     ordered_paths = list(dict.fromkeys(paths))
@@ -759,34 +829,47 @@ def check_files(paths: list, *, names: Optional[list] = None,
         pack_dirs=tuple(str(d) for d in pack_dirs),
     )
 
+    def work_item(kind: str, name: str, paths: tuple,
+                  index: int) -> WorkItem:
+        return WorkItem(kind=kind, checker=name, paths=paths,
+                        weight=sum(len(sources[p]) for p in paths),
+                        index=index)
+
     items: list[WorkItem] = []
     parts_of: dict[str, list[int]] = {}
     for name in selected:
         checker = get_checker(name)
+        two_pass = type(checker).link is not Checker.link
+        units = ([(path,) for path in ordered_paths]
+                 if checker.unit_parallel and not two_pass
+                 else [tuple(ordered_paths)])
         parts_of[name] = []
-        if checker.unit_parallel:
-            for path in ordered_paths:
-                items.append(WorkItem(
-                    kind="checker", checker=name, paths=(path,),
-                    weight=len(sources[path]), index=len(items)))
-                parts_of[name].append(items[-1].index)
-        else:
-            items.append(WorkItem(
-                kind="checker", checker=name, paths=tuple(ordered_paths),
-                weight=sum(len(t) for t in sources.values()),
-                index=len(items)))
-            parts_of[name].append(items[-1].index)
+        for paths in units:
+            items.append(work_item("link" if two_pass else "checker", name,
+                                   paths, len(items)))
+            parts_of[name].append(len(items) - 1)
+    # Part indices follow every top-level index, so a run whose links
+    # all hit numbers its items 0..n-1 with no gaps.
+    next_index = len(items)
+    links: dict[int, list[WorkItem]] = {}
+    for link in [item for item in items if item.kind == "link"]:
+        links[link.index] = [
+            work_item("local", link.checker, (path,), next_index + i)
+            for i, path in enumerate(ordered_paths)]
+        next_index += len(ordered_paths)
 
     keys = {}
     if cache is not None or journal is not None:
         keys = _item_keys(
-            items, sources, lambda item: checker_fingerprint(item.checker),
+            items + [part for parts in links.values() for part in parts],
+            sources, lambda item: checker_fingerprint(item.checker),
             source_fingerprint(spec_text) if spec_text else "",
             _config_fp(feasibility, frontend))
 
     parts, _, run_stats = _run_items(items, config, jobs, cache, keys,
                                      result_from_payload, journal=journal,
-                                     policy=policy, observation=observation)
+                                     policy=policy, observation=observation,
+                                     links=links)
 
     results = {name: merge_parts(name, [parts[i] for i in parts_of[name]])
                for name in selected}

@@ -331,13 +331,16 @@ def default_runs_dir(cache_dir: Optional[Path] = None) -> Path:
 class _Worker:
     """One supervised worker process and its private pipe."""
 
-    __slots__ = ("process", "conn", "current", "started_at")
+    __slots__ = ("process", "conn", "current", "started_at", "units")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
         self.current = None        # (item, attempt) while busy
         self.started_at = 0.0
+        #: Every unit this process has been sent: its parse memo holds
+        #: their ASTs, so more work on them costs no parse.
+        self.units: set = set()
 
 
 def _worker_main(config, conn) -> None:
@@ -407,12 +410,29 @@ def _reap(worker: _Worker, kill: bool = False) -> None:
         process.join(timeout=1.0)
 
 
-def _pop_ready(queue: list, now: float):
-    """First queue entry whose backoff delay has elapsed, or ``None``."""
-    for position, entry in enumerate(queue):
-        if entry[2] <= now:
-            return queue.pop(position)
-    return None
+def _pick(queue: list, now: float, mine: set, others: set):
+    """Queue position of the entry an idle worker takes next, or
+    ``None`` when no entry's backoff delay has elapsed.
+
+    Worker affinity, so each unit is parsed by as few processes as
+    possible.  In order of preference: the first ready entry whose
+    units the worker (``mine``) has all been sent already; else the
+    first one none of whose units any other worker (``others``) has
+    been sent; else the first ready entry.  A fault-free run of
+    per-unit items parses each unit once, plus once more each time an
+    idle worker finds every remaining unit started by another; with
+    two workers, that happens at most once."""
+    fresh = first = None
+    for position, (item, _attempt, not_before) in enumerate(queue):
+        if not_before > now:
+            continue
+        if mine.issuperset(item.paths):
+            return position
+        if fresh is None and others.isdisjoint(item.paths):
+            fresh = position
+        if first is None:
+            first = position
+    return fresh if fresh is not None else first
 
 
 def supervise_items(pending: list, config, jobs: int,
@@ -500,10 +520,12 @@ def supervise_items(pending: list, config, jobs: int,
                 for worker in list(workers):
                     if worker.current is not None:
                         continue
-                    entry = _pop_ready(queue, now)
-                    if entry is None:
+                    others = set().union(*(other.units for other in workers
+                                           if other is not worker))
+                    position = _pick(queue, now, worker.units, others)
+                    if position is None:
                         break
-                    item, attempt, _ = entry
+                    item, attempt, _ = queue.pop(position)
                     try:
                         worker.conn.send((item.index, attempt, item))
                     except (BrokenPipeError, OSError):
@@ -515,6 +537,7 @@ def supervise_items(pending: list, config, jobs: int,
                         continue
                     worker.current = (item, attempt)
                     worker.started_at = now
+                    worker.units.update(item.paths)
             busy = [worker for worker in workers
                     if worker.current is not None]
             if progress is not None:

@@ -18,9 +18,10 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 
-def run_cli(*argv, timeout=120):
+def run_cli(*argv, timeout=120, env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
@@ -109,6 +110,19 @@ class TestCheckExitCodes:
         proc = run_cli("check", str(bad))
         assert proc.returncode == 2
         assert "internal error" in proc.stderr
+
+    def test_bad_jobs_flag_is_a_usage_error(self, clean_c):
+        proc = run_cli("check", clean_c, "--jobs", "abc")
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "argument --jobs: invalid value 'abc'" in proc.stderr
+
+    def test_bad_jobs_environment_is_a_usage_error(self, clean_c):
+        proc = run_cli("check", clean_c, env_extra={"MC_CHECK_JOBS": "two"})
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "invalid value 'two'" in proc.stderr
+        assert "$MC_CHECK_JOBS" in proc.stderr
 
     def test_quarantined_checker_exits_two(self, racy_c):
         # A checker that crashes at run time: without --keep-going the

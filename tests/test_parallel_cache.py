@@ -9,13 +9,20 @@ and degradation notes survive the worker serialisation round-trip; and
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
 import pytest
 
 import repro.mc.cache as cache_mod
-from repro.checkers.base import CheckerResult, checker_names, run_all
+from repro.checkers.base import (
+    Checker,
+    CheckerResult,
+    checker_names,
+    get_checker,
+    run_all,
+)
 from repro.lang.source import Location
 from repro.mc import (
     Budget,
@@ -71,6 +78,17 @@ def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
 
 
+def _two_pass():
+    """Checkers the fleet runs as a per-unit local pass plus a link."""
+    return [n for n in checker_names()
+            if type(get_checker(n)).link is not Checker.link]
+
+
+def _linked_entry(path):
+    """True for a cache entry a warm run reads: not a local part."""
+    return "facts" not in json.loads(path.read_text())
+
+
 def _report_set(results):
     return {
         (r.checker, r.message, r.location, r.function, r.severity)
@@ -122,7 +140,10 @@ class TestCacheCorrectness:
         warm_cache = ResultCache(cache.root)
         warm = check_files(two_files, cache=warm_cache)
         assert warm_cache.stats.misses == 0
-        assert warm_cache.stats.hits == cache.stats.misses
+        # Every cold lookup repeats, except those of the local parts:
+        # their links hit, so a warm run never reads them.
+        assert (warm_cache.stats.hits
+                == cache.stats.misses - len(_two_pass()) * len(two_files))
         assert _formatted(cold.results) == _formatted(warm.results)
         for name in cold.results:
             assert (cold.results[name].applied
@@ -136,17 +157,15 @@ class TestCacheCorrectness:
         Path(two_files[1]).write_text(FILE_B + "\nvoid extra(void) { return; }\n")
         second = ResultCache(cache.root)
         check_files(two_files, cache=second)
-        unit_parallel = sum(
-            1 for n in checker_names()
-            if getattr(__import__("repro.checkers.base",
-                                  fromlist=["get_checker"]).get_checker(n),
-                       "unit_parallel"))
-        global_items = len(checker_names()) - unit_parallel
+        two_pass = len(_two_pass())
+        per_unit = sum(1 for n in checker_names()
+                       if get_checker(n).unit_parallel)
+        assert two_pass and per_unit
         # Per-unit items over the *edited* unit miss, as does every
-        # whole-program item (their key covers all files); items over
-        # the untouched unit all hit.
-        assert second.stats.misses == unit_parallel + global_items
-        assert second.stats.hits == unit_parallel
+        # link (its key covers all files) and its local part over the
+        # edited unit; items and parts over the untouched unit all hit.
+        assert second.stats.misses == per_unit + 2 * two_pass
+        assert second.stats.hits == per_unit + two_pass
 
     def test_checker_source_bump_invalidates_only_that_checker(
             self, two_files, cache, monkeypatch):
@@ -189,11 +208,159 @@ class TestCacheCorrectness:
 
     def test_corrupt_entry_is_a_miss(self, two_files, cache):
         check_files(two_files, cache=cache)
-        victim = next(cache.root.rglob("*.json"))
+        victim = next(filter(_linked_entry, cache.root.rglob("*.json")))
         victim.write_text("{not json")
         second = ResultCache(cache.root)
         check_files(two_files, cache=second)
         assert second.stats.misses == 1
+
+
+#: A no-stack handler whose calls land in another unit (cross_b.c);
+#: cross_c.c is a bystander.
+CROSS_A = """
+void HandlerA(void) {
+    HANDLER_DEFS();
+    HANDLER_PROLOGUE();
+    NOSTACK();
+    SET_STACKPTR();
+    send_one();
+    stray_call();
+    return;
+}
+"""
+
+CROSS_B = """
+void send_one(void) {
+    SUBROUTINE_PROLOGUE();
+    NI_SEND(NI_REQUEST, F_NODATA, 1, 0, 1, 0);
+    return;
+}
+
+void stray_call(void) {
+    SUBROUTINE_PROLOGUE();
+    return;
+}
+"""
+
+CROSS_C = """
+void bystander(void) {
+    SUBROUTINE_PROLOGUE();
+    return;
+}
+"""
+
+#: Edits to cross_b.c alone that change what the links report about
+#: HandlerA in cross_a.c: a second send over its lane allowance, and the
+#: removal of the callee its unbracketed call reaches.
+CROSS_EDITS = {
+    "send": (CROSS_B.replace(
+        "    return;\n}\n\nvoid stray_call",
+        "    NI_SEND(NI_REQUEST, F_NODATA, 1, 0, 1, 0);\n"
+        "    return;\n}\n\nvoid stray_call"),
+        "handler HandlerA can send 2 messages", True),
+    "remove": (CROSS_B[:CROSS_B.index("void stray_call")],
+               "call without SET_STACKPTR", False),
+}
+
+
+def _cross_tree(root, b_text=CROSS_B, c_text=CROSS_C):
+    """Write the cross-unit fixture and its spec; returns (units, spec)."""
+    units = []
+    for name, text in (("cross_a.c", CROSS_A), ("cross_b.c", b_text),
+                       ("cross_c.c", c_text)):
+        (root / name).write_text(text)
+        units.append(str(root / name))
+    spec = root / "cross.spec"
+    spec.write_text(
+        "protocol cross\nhandler HandlerA hw lanes 1 1 1 1 nostack\n")
+    return units, str(spec)
+
+
+class TestLinkedChecks:
+    """lanes and exec-restrict run a local pass per unit and link the
+    parts in the parent: an edit to one unit re-runs the local pass
+    over that unit only, and the link still sees every unit."""
+
+    @pytest.mark.parametrize("edit", sorted(CROSS_EDITS))
+    def test_edit_parses_only_the_edited_unit(self, tmp_path, monkeypatch,
+                                              capsys, edit):
+        from unittest import mock
+
+        from repro import cli
+        from repro.lang import clear_memo, parser
+        from repro.obs import read_trace
+
+        _cross_tree(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv = ["check", "cross_a.c", "cross_b.c", "cross_c.c",
+                "--spec", "cross.spec", "--format", "json", "--jobs", "1"]
+        cached = ["--cache-dir", str(tmp_path / "cache")]
+
+        def check(*extra):
+            clear_memo()
+            with mock.patch("repro.project.parse",
+                            wraps=parser.parse) as a, \
+                    mock.patch("repro.lang.memo.parse",
+                               wraps=parser.parse) as b:
+                code = cli.main([*argv, *extra])
+            messages = capsys.readouterr().out
+            return code, messages, a.call_count + b.call_count
+
+        def report(out):
+            """The document minus its run id (only a cached run has one)."""
+            doc = json.loads(out)
+            del doc["run_id"]
+            return doc
+
+        text, message, present = CROSS_EDITS[edit]
+        _, before, _ = check(*cached)
+        assert (message in before) != present
+        (tmp_path / "cross_b.c").write_text(text)
+        code, after, parses = check(*cached, "--trace", "trace.jsonl")
+        cold_code, cold, _ = check("--no-cache")
+        assert (code, report(after)) == (cold_code, report(cold))
+        assert (message in after) == present
+        assert parses == 1
+        # cross_a.c's local parts came from the cache.
+        parts = {r["name"]: r["status"]
+                 for r in read_trace(tmp_path / "trace.jsonl")
+                 if r["kind"] == "checker"
+                 and r["name"] in ("lanes", "exec-restrict")
+                 and r["attrs"].get("units") == ["cross_a.c"]}
+        assert parts == {"lanes": "cached", "exec-restrict": "cached"}
+
+    def test_input_quarantined_parts_still_link(self, tmp_path):
+        # Tolerant mode quarantines the template in cross_c.c; the
+        # parts keep their facts, so the lanes finding survives.
+        units, spec = _cross_tree(
+            tmp_path, b_text=CROSS_EDITS["send"][0],
+            c_text="template <class T> T id(T t) { return t; }\n" + CROSS_C)
+        run = check_files(units, names=["lanes"], spec_path=spec,
+                          frontend="tolerant")
+        result = run.results["lanes"]
+        assert result.degraded
+        assert [q.phase for q in result.quarantines] == ["input"]
+        assert [r.function for r in result.reports] == ["HandlerA"]
+
+    def test_part_without_facts_leaves_the_link_unreported(
+            self, tmp_path, monkeypatch):
+        from repro.checkers.lanes import LaneChecker
+
+        units, spec = _cross_tree(tmp_path, b_text=CROSS_EDITS["send"][0])
+        real = LaneChecker.local
+
+        def local(self, program):
+            if units[2] in program.units:
+                raise RuntimeError("local pass crashed")
+            return real(self, program)
+
+        monkeypatch.setattr(LaneChecker, "local", local)
+        run = check_files(units, names=["lanes"], spec_path=spec,
+                          keep_going=True)
+        result = run.results["lanes"]
+        assert result.degraded and not result.reports
+        assert [q.message for q in result.quarantines] == [
+            "local pass crashed"]
 
 
 class TestPayloadRoundTrip:

@@ -209,6 +209,64 @@ class TestCrashRetry:
         assert not any(r.degraded for r in run.results.values())
 
 
+class TestWorkerAffinity:
+    @staticmethod
+    def _entry(*paths, not_before=0.0):
+        from repro.mc.parallel import WorkItem
+        item = WorkItem(kind="checker", checker="c", paths=paths,
+                        weight=1, index=0)
+        return (item, 0, not_before)
+
+    def test_idle_worker_prefers_its_units_then_unstarted_ones(self):
+        from repro.mc.supervisor import _pick
+        entry = self._entry
+        queue = [entry("a.c"), entry("b.c"), entry("c.c"), entry("b.c")]
+        # 1. its own unit, even behind another worker's
+        assert _pick(queue, 1.0, mine={"b.c"}, others={"a.c"}) == 1
+        # 2. else the first unit no other worker has been sent
+        assert _pick(queue, 1.0, mine=set(), others={"a.c", "b.c"}) == 2
+        # 3. else the head of the (largest-first) queue
+        assert _pick(queue, 1.0, mine={"z.c"},
+                     others={"a.c", "b.c", "c.c"}) == 0
+        # entries still backing off are skipped
+        queue[2] = entry("c.c", not_before=5.0)
+        assert _pick(queue, 1.0, mine=set(), others={"a.c", "b.c"}) == 0
+        assert _pick([entry("a.c", not_before=5.0)], 1.0, set(), set()) is None
+        # a whole-program entry is the worker's own only with every unit
+        queue = [entry("a.c", "b.c"), entry("a.c")]
+        assert _pick(queue, 1.0, mine={"a.c"}, others=set()) == 1
+        assert _pick(queue, 1.0, mine={"a.c", "b.c"}, others=set()) == 0
+
+    def test_jobs2_parses_each_unit_about_once(self, tmp_path, monkeypatch,
+                                               capsys):
+        from repro import cli
+        from repro.flash.codegen import generate_protocol
+        from repro.flash.spec import dump_spec
+        from repro.lang import clear_memo
+
+        gp = generate_protocol("bitvector")
+        for name, text in gp.files.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "bitvector.spec").write_text(dump_spec(gp.info))
+        monkeypatch.chdir(tmp_path)
+        argv = ["check", *sorted(gp.files), "--spec", "bitvector.spec",
+                "--no-cache", "--format", "json"]
+        # Forked workers inherit this process's parse memo.
+        clear_memo()
+        code2 = cli.main([*argv, "--jobs", "2",
+                          "--metrics-out", "metrics.json"])
+        out2 = capsys.readouterr().out
+        code1 = cli.main([*argv, "--jobs", "1"])
+        out1 = capsys.readouterr().out
+        doc1, doc2 = json.loads(out1), json.loads(out2)
+        assert (doc1.pop("jobs"), doc2.pop("jobs")) == (1, 2)
+        assert (code2, doc2) == (code1, doc1)
+        counters = json.loads((tmp_path / "metrics.json").read_text())[
+            "counters"]
+        # Each unit once, plus one join of a unit already started.
+        assert counters["parse.units"] <= len(gp.files) + 1
+
+
 class TestInputQuarantine:
     def test_deleted_file_is_an_input_quarantine_not_a_crash(
             self, two_files, monkeypatch):
@@ -342,7 +400,10 @@ class TestCacheHardening:
     def test_corrupt_entry_is_deleted_and_counted(self, two_files, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         check_files(two_files, cache=cache)
-        victim = next(cache.root.rglob("*.json"))
+        # A local part is never read while its link hits: corrupt an
+        # entry a warm run reads.
+        victim = next(path for path in cache.root.rglob("*.json")
+                      if "facts" not in json.loads(path.read_text()))
         victim.write_text('{"schema": 1, "truncated')
         second = ResultCache(cache.root)
         run = check_files(two_files, cache=second)
