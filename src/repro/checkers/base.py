@@ -48,7 +48,7 @@ class CheckerResult:
     #: region (``suppressed_by="opaque"``).
     suppressed: list = field(default_factory=list)
     #: A two-pass checker's per-unit facts (JSON-able), set by
-    #: :meth:`Checker.local` and consumed by :meth:`Checker.link`.
+    #: :meth:`TwoPassChecker.local` and read by its ``link``.
     #: ``None`` on every linked or single-pass result, and on a part
     #: that never completed (skipped, poisoned, crashed).
     facts: Optional[object] = None
@@ -71,13 +71,8 @@ class Checker(ABC):
 
     Subclasses set :attr:`name` and :attr:`metal_loc` (the size of the
     equivalent metal extension, reported in Table 7) and implement
-    :meth:`check`.
-
-    Inter-procedural checkers take the paper's two-pass form (§3.2,
-    §7): :meth:`local` runs over one translation unit and leaves its
-    facts on the part it returns, and :meth:`link` builds the
-    whole-program result from the parts.  Such a checker's ``check`` is
-    ``link([local(program)], program.info)``.
+    :meth:`check`.  Inter-procedural checkers that can split their work
+    into a per-unit pass and a link derive from :class:`TwoPassChecker`.
     """
 
     #: Stable identifier, used in reports and benchmark tables.
@@ -87,26 +82,13 @@ class Checker(ABC):
     #: True when ``check`` over a single translation unit produces the
     #: same diagnostics as over the whole program (per-function
     #: analyses).  The parallel driver fans such checkers out one unit
-    #: at a time.  Inter-procedural checkers set this False: one that
-    #: overrides :meth:`link` (lanes, exec-restrict) runs ``local`` per
-    #: unit and links in the parent; one without runs as a single
-    #: whole-program work item.
+    #: at a time, and runs any other checker that is not a
+    #: :class:`TwoPassChecker` as a single whole-program work item.
     unit_parallel: bool = True
 
     @abstractmethod
     def check(self, program: Program) -> CheckerResult:
         """Run over ``program`` and return the result."""
-
-    def local(self, program: Program) -> CheckerResult:
-        """The per-unit pass: a part whose ``facts`` :meth:`link` reads.
-        Single-pass checkers need no facts, so the default is ``check``."""
-        return self.check(program)
-
-    def link(self, parts: list[CheckerResult],
-             info: ProtocolInfo) -> CheckerResult:
-        """The global pass: one result from the parts, in unit order."""
-        from ..mc.parallel import merge_parts
-        return merge_parts(self.name, parts)
 
     # -- shared helpers ------------------------------------------------------
 
@@ -125,15 +107,47 @@ class Checker(ABC):
         return result
 
 
-def carry_degradation(result: CheckerResult,
-                      parts: list[CheckerResult]) -> CheckerResult:
-    """Append every part's quarantines and degradation notes to
-    ``result``, in part order, and mark it degraded if any part was."""
-    for part in parts:
-        result.quarantines.extend(part.quarantines)
-        result.degradation_notes.extend(part.degradation_notes)
-        result.degraded = result.degraded or part.degraded
-    return result
+@dataclass
+class Parts:
+    """A program after a two-pass checker's local pass: the part
+    :meth:`TwoPassChecker.local` returned for each unit, in unit order,
+    and the protocol the global pass reads."""
+
+    parts: list[CheckerResult]
+    info: ProtocolInfo
+
+
+class TwoPassChecker(Checker):
+    """An inter-procedural checker in the paper's two-pass form (§3.2,
+    §7): :meth:`local` runs over one translation unit and leaves its
+    facts on the part it returns, and :meth:`link` builds the
+    whole-program result from every unit's part.
+
+    The parallel driver runs ``local`` once per unit, stores each part,
+    and calls ``check`` on the :class:`Parts` in the parent, so an edit
+    re-runs the local pass over the edited unit only.
+    """
+
+    #: ``check`` over one unit cannot see the calls into other units.
+    unit_parallel = False
+
+    def check(self, program: Program | Parts) -> CheckerResult:
+        """Both passes over a :class:`Program`; over :class:`Parts`,
+        whose local passes already ran, the global pass alone."""
+        if not isinstance(program, Parts):
+            program = Parts([self.local(program)], program.info)
+        return self.link(program.parts, program.info)
+
+    @abstractmethod
+    def local(self, program: Program) -> CheckerResult:
+        """The per-unit pass: a part whose ``facts`` :meth:`link` reads."""
+
+    def link(self, parts: list[CheckerResult],
+             info: ProtocolInfo) -> CheckerResult:
+        """The global pass: one result from the parts, in unit order.
+        The default merges them as the fleet merges per-unit items."""
+        from ..mc.parallel import merge_parts
+        return merge_parts(self.name, parts)
 
 
 _REGISTRY: dict[str, Type[Checker]] = {}
@@ -216,13 +230,21 @@ def register_pack_checker(cls: Type[Checker],
     Name collisions — with a builtin or with another pack's checker —
     are structural load errors (:class:`repro.packs.PackError`): two
     checkers sharing a name would make reports, cache keys, and
-    ``--checker`` selection ambiguous.
+    ``--checker`` selection ambiguous.  So is a class that leaves an
+    abstract method unimplemented (a :class:`TwoPassChecker` without
+    ``local``), which could never be instantiated.
     """
     from ..packs.manifest import PackError
     if not cls.name:
         raise PackError(
             f"pack {origin.label}: checker class {cls.__name__} in "
             f"{origin.source or '<module>'} sets no name")
+    missing = sorted(getattr(cls, "__abstractmethods__", ()))
+    if missing:
+        raise PackError(
+            f"pack {origin.label}: checker class {cls.__name__} in "
+            f"{origin.source or '<module>'} does not implement "
+            f"{', '.join(missing)}")
     existing = _REGISTRY.get(cls.name)
     if existing is not None and existing is not cls:
         holder = _ORIGINS.get(cls.name)

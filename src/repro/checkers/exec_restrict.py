@@ -35,7 +35,7 @@ from ..lang.source import Location
 from ..mc.cache import report_from_obj, report_to_obj
 from ..metal.runtime import Report, ReportSink
 from ..project import Program, ProtocolInfo
-from .base import Checker, CheckerResult, carry_degradation, register
+from .base import Checker, CheckerResult, TwoPassChecker, register
 
 #: Names that are FLASH environment macros, not real subroutine calls —
 #: calling these from a no-stack handler needs no SET_STACKPTR.
@@ -99,16 +99,11 @@ def _call_name(stmt: Optional[ast.Stmt]) -> Optional[str]:
 
 
 @register
-class ExecRestrictChecker(Checker):
+class ExecRestrictChecker(TwoPassChecker):
     """Signature, stack, deprecated-macro, and simulator-hook rules."""
 
     name = "exec-restrict"
     metal_loc = 84
-    #: The nostack rule follows calls into other files.
-    unit_parallel = False
-
-    def check(self, program: Program) -> CheckerResult:
-        return self.link([self.local(program)], program.info)
 
     def local(self, program: Program) -> CheckerResult:
         """Every rule over the unit, except that a SET_STACKPTR site
@@ -165,7 +160,7 @@ class ExecRestrictChecker(Checker):
             result.applied += part.applied
             for key in ("handlers_checked", "vars_checked"):
                 result.extra[key] = result.extra.get(key, 0) + part.extra[key]
-        return carry_degradation(self._finish(result, sink), parts)
+        return self._finish(result, sink)
 
     # -- individual rules ---------------------------------------------------
 

@@ -32,7 +32,7 @@ from ..mc.interproc import bottom_up
 from ..metal.runtime import Report
 from ..obs.metrics import current_metrics
 from ..project import Program, ProtocolInfo
-from .base import Checker, CheckerResult, carry_degradation, register
+from .base import CheckerResult, TwoPassChecker, register
 
 LANES = machine.LANE_COUNT
 
@@ -239,16 +239,11 @@ def _topo_blocks(graph: FlowGraph) -> list[int]:
 
 
 @register
-class LaneChecker(Checker):
+class LaneChecker(TwoPassChecker):
     """Handlers must not exceed their per-lane send allowance."""
 
     name = "lanes"
     metal_loc = 220
-    #: The global pass links flow graphs across files.
-    unit_parallel = False
-
-    def check(self, program: Program) -> CheckerResult:
-        return self.link([self.local(program)], program.info)
 
     def local(self, program: Program) -> CheckerResult:
         """Emit the unit's annotated flow graphs as the part's facts."""
@@ -343,4 +338,4 @@ class LaneChecker(Checker):
                         function=handler.name,
                         backtrace=tuple(frames[:-1]),
                     ))
-        return carry_degradation(self._finish(result, sink), parts)
+        return self._finish(result, sink)

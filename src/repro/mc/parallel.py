@@ -6,13 +6,13 @@ function — embarrassingly parallel work this module schedules as
 
 * per-function checkers (``Checker.unit_parallel``) get one item per
   translation unit;
-* two-pass checkers (lanes, exec-restrict: they override
-  ``Checker.link``) get a *link item* keyed like a whole-program item.
-  On a store miss it expands into one ``local`` item per unit, each
-  stored under its own key, and the parent links their parts in unit
-  order and stores the result, so an edit re-runs the local pass over
-  the edited unit only; a hit never expands.  Other inter-procedural
-  checkers run as a single whole-program item;
+* two-pass checkers (``TwoPassChecker``: lanes, exec-restrict) get a
+  *link item* keyed like a whole-program item.  On a store miss it
+  expands into one ``local`` item per unit, each stored under its own
+  key, and the parent links their parts in unit order and stores the
+  result, so an edit re-runs the local pass over the edited unit only;
+  a hit never expands.  Other inter-procedural checkers run as a
+  single whole-program item;
 * items are scheduled **largest first** (by source size) so the long
   poles start early and tail latency stays low;
 * the queue carries *paths and checker names*, never pickled ASTs —
@@ -354,21 +354,24 @@ def _run_checker_item(item: WorkItem, config: WorkerConfig) -> dict:
 def _link_payload(item: WorkItem, config: WorkerConfig,
                   parts: list) -> dict:
     """The linked result of ``item``'s checker over its ``local``
-    parts.  A part without facts never completed (skipped, poisoned,
-    crashed): then the result carries the parts' quarantines and notes,
-    degraded and without reports, as a whole-program item that never
-    ran would."""
-    from ..checkers.base import CheckerResult, carry_degradation, get_checker
+    parts, carrying every part's quarantines and degradation notes in
+    unit order.  A part without facts never completed (skipped,
+    poisoned, crashed): then the result is degraded and has no reports,
+    as a whole-program item that never ran would be."""
+    from ..checkers.base import CheckerResult, Parts, get_checker
     from ..project import ProtocolInfo
 
     name = item.checker
     if any(part.facts is None for part in parts):
-        result = carry_degradation(
-            CheckerResult(checker=name, degraded=True), parts)
+        result = CheckerResult(checker=name, degraded=True)
     else:
-        info = _spec_info(config) or ProtocolInfo()
+        linked = Parts(parts, _spec_info(config) or ProtocolInfo())
         result = _guarded(name, config,
-                          lambda: get_checker(name).link(parts, info))
+                          lambda: get_checker(name).check(linked))
+    for part in parts:
+        result.quarantines.extend(part.quarantines)
+        result.degradation_notes.extend(part.degradation_notes)
+        result.degraded = result.degraded or part.degraded
     return result_to_payload(result)
 
 
@@ -805,7 +808,7 @@ def check_files(paths: list, *, names: Optional[list] = None,
     (``--frontend strict|tolerant``).  Both are part of every store
     key, so runs with different settings never share entries.
     """
-    from ..checkers.base import Checker, checker_names, get_checker
+    from ..checkers.base import TwoPassChecker, checker_names, get_checker
     from ..project import read_sources
 
     ordered_paths = list(dict.fromkeys(paths))
@@ -839,14 +842,15 @@ def check_files(paths: list, *, names: Optional[list] = None,
     parts_of: dict[str, list[int]] = {}
     for name in selected:
         checker = get_checker(name)
-        two_pass = type(checker).link is not Checker.link
-        units = ([(path,) for path in ordered_paths]
-                 if checker.unit_parallel and not two_pass
-                 else [tuple(ordered_paths)])
+        if isinstance(checker, TwoPassChecker):
+            kind, units = "link", [tuple(ordered_paths)]
+        elif checker.unit_parallel:
+            kind, units = "checker", [(path,) for path in ordered_paths]
+        else:
+            kind, units = "checker", [tuple(ordered_paths)]
         parts_of[name] = []
         for paths in units:
-            items.append(work_item("link" if two_pass else "checker", name,
-                                   paths, len(items)))
+            items.append(work_item(kind, name, paths, len(items)))
             parts_of[name].append(len(items) - 1)
     # Part indices follow every top-level index, so a run whose links
     # all hit numbers its items 0..n-1 with no gaps.

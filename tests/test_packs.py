@@ -287,6 +287,17 @@ class TestLoading:
         with pytest.raises(PackError, match="no Checker subclass"):
             load_pack(pack)
 
+    def test_two_pass_checker_without_local_is_refused(self, tmp_path):
+        src = ("from repro.checkers.base import TwoPassChecker\n\n"
+               "class HalfLinked(TwoPassChecker):\n"
+               '    name = "half-linked"\n\n'
+               "    def link(self, parts, info):\n"
+               "        return parts[0]\n")
+        pack = write_pack(tmp_path / "p", checker_src=src)
+        with pytest.raises(PackError, match="does not implement local"):
+            load_pack(pack)
+        assert "half-linked" not in checker_names()
+
     def test_module_that_raises_on_import(self, tmp_path):
         pack = write_pack(tmp_path / "p",
                           checker_src='raise ValueError("nope")\n')

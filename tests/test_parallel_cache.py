@@ -17,8 +17,8 @@ import pytest
 
 import repro.mc.cache as cache_mod
 from repro.checkers.base import (
-    Checker,
     CheckerResult,
+    TwoPassChecker,
     checker_names,
     get_checker,
     run_all,
@@ -81,7 +81,7 @@ def cache(tmp_path):
 def _two_pass():
     """Checkers the fleet runs as a per-unit local pass plus a link."""
     return [n for n in checker_names()
-            if type(get_checker(n)).link is not Checker.link]
+            if isinstance(get_checker(n), TwoPassChecker)]
 
 
 def _linked_entry(path):
@@ -341,6 +341,29 @@ class TestLinkedChecks:
         assert result.degraded
         assert [q.phase for q in result.quarantines] == ["input"]
         assert [r.function for r in result.reports] == ["HandlerA"]
+
+    def test_fleet_enters_every_checker_through_check(self, two_files,
+                                                      monkeypatch):
+        # Profilers and the benchmark's layer spans wrap each checker
+        # class's ``check``; the fleet links two-pass checkers through
+        # it, so every checker's span exists.
+        from repro.checkers.base import _REGISTRY
+
+        entered = set()
+
+        def wrapped(name, check):
+            def traced(self, program):
+                entered.add(name)
+                return check(self, program)
+            return traced
+
+        # Resolve every check before patching any, as the benchmark does.
+        for name, cls, check in [(n, c, c.check)
+                                 for n, c in _REGISTRY.items()]:
+            monkeypatch.setattr(cls, "check", wrapped(name, check))
+        check_files(two_files)
+        assert entered == set(checker_names())
+        assert _two_pass()
 
     def test_part_without_facts_leaves_the_link_unreported(
             self, tmp_path, monkeypatch):
