@@ -23,9 +23,9 @@ from typing import Optional
 from ..lang.memo import source_fingerprint
 from ..mc.cache import (
     ResultCache,
-    _module_digest,
     _sha256,
     engine_fingerprint,
+    package_digests,
     work_item_key,
 )
 from ..mc.parallel import WorkerConfig, WorkItem, _run_items
@@ -38,25 +38,20 @@ _CAMPAIGN_FP: Optional[str] = None
 def campaign_fingerprint() -> str:
     """Hash of every module whose behaviour feeds campaign outcomes.
 
-    Covers this package (plan derivation, properties, shrinking,
-    running), the whole simulator, and the fault machinery — bumping
-    any of them must invalidate journaled shard payloads, exactly as
-    the engine fingerprint invalidates checker results.
+    Covers every module of this package (plan derivation, properties,
+    shrinking, running), of the simulator, and of the fault machinery,
+    a module added later included — changing any of them must
+    invalidate journaled shard payloads, exactly as the engine
+    fingerprint invalidates checker results.
     """
     global _CAMPAIGN_FP
     if _CAMPAIGN_FP is None:
-        from ..faults import injector as faults_injector
-        from ..faults import plan as faults_plan
-        from ..flash.sim import buffers, directory, interp, machine
-        from ..flash.sim import network, node, workload
-        from . import crosstab, plans, properties, runner, shrink
+        import repro.campaign
+        import repro.faults
+        import repro.flash.sim
 
-        digests = [
-            _module_digest(module)
-            for module in (plans, properties, runner, shrink, crosstab,
-                           machine, node, interp, buffers, directory,
-                           network, workload, faults_plan, faults_injector)
-        ]
+        digests = package_digests(repro.campaign, repro.flash.sim,
+                                  repro.faults)
         _CAMPAIGN_FP = _sha256(*(d.encode() for d in digests),
                                str(CAMPAIGN_SCHEMA).encode())
     return _CAMPAIGN_FP

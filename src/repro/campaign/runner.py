@@ -54,9 +54,11 @@ def _error_property(exc: BaseException) -> Optional[str]:
 
 
 def execute_plan(functions: dict, dispatch: dict, spec: CampaignSpec,
-                 plan: RunPlan) -> tuple:
+                 plan: RunPlan, program) -> tuple:
     """Run one plan; returns ``(stats, error)`` where ``error`` is
-    ``None`` or ``(type-name, message)`` for an escaped typed failure."""
+    ``None`` or ``(type-name, message)`` for an escaped typed failure.
+    ``program`` is the :class:`~repro.flash.sim.CompiledProgram` of
+    ``functions`` to run, shared with the caller's other runs."""
     from ..flash.sim import FlashMachine, WorkloadSpec
     from ..flash.sim.machine import SimStats
 
@@ -64,6 +66,7 @@ def execute_plan(functions: dict, dispatch: dict, spec: CampaignSpec,
         functions, dispatch, nodes=spec.nodes, n_buffers=spec.buffers,
         lane_capacity=spec.lane_capacity, strict=False,
         max_hops=spec.max_hops, fault_plan=plan.fault_plan,
+        program=program,
     )
     workload = WorkloadSpec(
         messages=plan.messages, nodes=spec.nodes, seed=plan.seed,
@@ -94,9 +97,16 @@ def _violations(stats, error) -> list:
 
 
 def execute_run(functions: dict, dispatch: dict, spec: CampaignSpec,
-                plan: RunPlan, shrink: bool = True) -> dict:
-    """Execute one run plan into its outcome record (shrinking failures)."""
-    stats, error = execute_plan(functions, dispatch, spec, plan)
+                plan: RunPlan, shrink: bool = True, program=None) -> dict:
+    """Execute one run plan into its outcome record (shrinking failures).
+
+    The run and its shrink re-runs share ``program`` (a
+    :class:`~repro.flash.sim.CompiledProgram`; a new one if omitted).
+    """
+    if program is None:
+        from ..flash.sim import CompiledProgram
+        program = CompiledProgram(functions)
+    stats, error = execute_plan(functions, dispatch, spec, plan, program)
     violations = _violations(stats, error)
     crashed = bool(violations) or error is not None
     shrunk_obj = None
@@ -104,7 +114,7 @@ def execute_run(functions: dict, dispatch: dict, spec: CampaignSpec,
     if shrink and crashed and targets:
         def rerun(candidate: RunPlan) -> frozenset:
             c_stats, c_error = execute_plan(functions, dispatch, spec,
-                                            candidate)
+                                            candidate, program)
             return frozenset(v.property
                              for v in _violations(c_stats, c_error))
 
@@ -143,6 +153,7 @@ def run_campaign_item(item, config) -> dict:
     exercised by the same plans.
     """
     from ..errors import SourceReadError
+    from ..flash.sim import CompiledProgram
     from ..mc import parallel as fleet
     from ..mc.cache import SCHEMA_VERSION
     from ..project import Program, read_sources
@@ -167,8 +178,11 @@ def run_campaign_item(item, config) -> dict:
             item, config, "ReproError",
             f"dispatch handler(s) not defined by the sources: "
             f"{', '.join(missing)}", phase="input")
+    # One compiled program per shard: between them, the shard's runs,
+    # shrink re-runs and nodes compile each handler at most once.
+    program = CompiledProgram(functions)
     outcomes = [
-        execute_run(functions, dispatch, spec, plan)
+        execute_run(functions, dispatch, spec, plan, program=program)
         for plan in runs_for_shard(spec, item.index)
     ]
     return {

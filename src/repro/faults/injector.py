@@ -41,6 +41,12 @@ class FaultInjector:
             for index in range(len(plan.rules))
         ]
         self.events: list[FaultEvent] = []
+        #: Site -> ``[(rule index, rule)]``, in plan order: ``fires``
+        #: looks only at the rules for the site it is asked about.
+        self._rules_at: dict[str, list] = {}
+        for index, rule in enumerate(plan.rules):
+            self._rules_at.setdefault(rule.site, []).append((index, rule))
+        self._crash_rules = "handler_crash" in self._rules_at
 
     # -- context ------------------------------------------------------------
 
@@ -57,7 +63,7 @@ class FaultInjector:
     def tick(self, _node=None) -> None:
         """Interpreter tick hook: advance the clock, maybe crash the handler."""
         self.cycle += 1
-        if self.fires("handler_crash"):
+        if self._crash_rules and self.fires("handler_crash"):
             raise InjectedFault(
                 f"fault plan crashed handler {self.handler!r} on node "
                 f"{self.node_id} at cycle {self.cycle}"
@@ -73,9 +79,7 @@ class FaultInjector:
         of which rule answers first.
         """
         fired = False
-        for index, rule in enumerate(self.plan.rules):
-            if rule.site != site:
-                continue
+        for index, rule in self._rules_at.get(site, ()):
             if rule.node is not None and rule.node != self.node_id:
                 continue
             if rule.handler is not None and rule.handler != self.handler:

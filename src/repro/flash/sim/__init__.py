@@ -11,6 +11,7 @@ delay/duplication — that random workloads almost never reach.
 """
 
 from .buffers import BufferPool, DataBuffer
+from .compiler import CompiledProgram
 from .directory import Directory
 from .interp import GlobalsView, Interpreter
 from .machine import FlashMachine, SimStats
@@ -19,7 +20,7 @@ from .node import CONSTANTS, Node
 from .workload import WorkloadSpec, generate
 
 __all__ = [
-    "BufferPool", "DataBuffer", "Directory", "GlobalsView", "Interpreter",
-    "FlashMachine", "SimStats", "Message", "OutputQueues", "CONSTANTS",
-    "Node", "WorkloadSpec", "generate",
+    "BufferPool", "CompiledProgram", "DataBuffer", "Directory",
+    "GlobalsView", "Interpreter", "FlashMachine", "SimStats", "Message",
+    "OutputQueues", "CONSTANTS", "Node", "WorkloadSpec", "generate",
 ]

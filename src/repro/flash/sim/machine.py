@@ -31,6 +31,7 @@ from typing import Optional
 from ...errors import InjectedFault, LaneOverflowError, ProtocolDeadlock
 from ...faults import FaultInjector, FaultPlan
 from ...lang import ast
+from .compiler import CompiledProgram
 from .network import Message
 from .node import Node
 from .workload import WorkloadSpec, generate
@@ -95,15 +96,20 @@ class FlashMachine:
                  dispatch: dict[int, str], nodes: int = 2,
                  n_buffers: int = 16, lane_capacity: int = 8,
                  strict: bool = False, max_hops: int = 4,
-                 fault_plan: Optional[FaultPlan] = None):
+                 fault_plan: Optional[FaultPlan] = None,
+                 program: Optional[CompiledProgram] = None):
         self.dispatch = dispatch
         self.max_hops = max_hops
         self.injector = (FaultInjector(fault_plan)
                          if fault_plan is not None else None)
+        # The nodes share one compiled program; pass ``program`` to
+        # share it with other machines over the same functions.
+        if program is None:
+            program = CompiledProgram(functions)
         self.nodes = [
             Node(i, functions, n_buffers=n_buffers,
                  lane_capacity=lane_capacity, strict=strict,
-                 injector=self.injector)
+                 injector=self.injector, program=program)
             for i in range(nodes)
         ]
         self._lane_overflow_events = 0

@@ -25,6 +25,7 @@ from ...errors import InjectedFault, ProtocolDeadlock
 from ...lang import ast
 from .. import machine as vocab
 from .buffers import BufferPool, DataBuffer
+from .compiler import CompiledProgram
 from .directory import Directory
 from .interp import GlobalsView, Interpreter
 from .network import Message, OutputQueues
@@ -71,7 +72,8 @@ class Node:
 
     def __init__(self, node_id: int, functions: dict[str, ast.FunctionDef],
                  n_buffers: int = 16, lane_capacity: int = 8,
-                 strict: bool = False, injector=None):
+                 strict: bool = False, injector=None,
+                 program: Optional[CompiledProgram] = None):
         self.node_id = node_id
         self.injector = injector
         self.pool = BufferPool(n_buffers, injector=injector)
@@ -100,6 +102,7 @@ class Node:
             constants=CONSTANTS,
             handler_globals=self.globals,
             tick_hook=injector.tick if injector is not None else None,
+            program=program,
         )
 
     # -- builtin bindings -----------------------------------------------------

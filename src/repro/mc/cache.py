@@ -72,6 +72,18 @@ def _module_digest(module) -> str:
     return _sha256(Path(path).read_bytes())
 
 
+def package_digests(*packages) -> list[str]:
+    """Digest of every ``*.py`` directly inside each package, in path
+    order: a fingerprint built from these notices a new module as well
+    as an edited one."""
+    digests = []
+    for package in packages:
+        root = Path(inspect.getsourcefile(package)).parent
+        for path in sorted(root.glob("*.py")):
+            digests.append(_sha256(path.read_bytes()))
+    return digests
+
+
 _ENGINE_FILES_FP: Optional[str] = None
 
 
@@ -96,12 +108,8 @@ def engine_fingerprint() -> str:
 
         # repro.obs is included because provenance trails it builds are
         # part of the cached payloads.
-        digests = []
-        for package in (repro.lang, repro.cfg, repro.metal, repro.mc,
-                        repro.obs):
-            root = Path(inspect.getsourcefile(package)).parent
-            for path in sorted(root.glob("*.py")):
-                digests.append(_sha256(path.read_bytes()))
+        digests = package_digests(repro.lang, repro.cfg, repro.metal,
+                                  repro.mc, repro.obs)
         for module in (repro.project, headers, machine, spec):
             digests.append(_module_digest(module))
         _ENGINE_FILES_FP = _sha256(*(d.encode() for d in digests))

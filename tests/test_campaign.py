@@ -543,3 +543,36 @@ class TestCampaignParsesOnce:
             private_code, private_out, private_parses = campaign()
         assert private_parses == 2 * len(gp.files)
         assert (code, out) == (private_code, private_out)
+
+
+class TestCampaignFingerprint:
+    """Shard payloads are keyed on every module a campaign runs."""
+
+    def test_every_module_of_the_packages_is_covered(self, monkeypatch):
+        from pathlib import Path
+
+        import repro.campaign
+        import repro.faults
+        import repro.flash.sim
+        from repro.campaign import fleet
+
+        files = [path
+                 for package in (repro.campaign, repro.faults,
+                                 repro.flash.sim)
+                 for path in sorted(Path(package.__file__).parent.glob("*.py"))]
+        assert {"fleet.py", "interp.py", "worker.py", "__init__.py"} <= {
+            path.name for path in files}
+        monkeypatch.setattr(fleet, "_CAMPAIGN_FP", None)
+        baseline = fleet.campaign_fingerprint()
+        read_bytes = Path.read_bytes
+        for edited in files:
+            def edited_bytes(path, edited=edited):
+                data = read_bytes(path)
+                return data + b"\n# edited\n" if path == edited else data
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "read_bytes", edited_bytes)
+                patch.setattr(fleet, "_CAMPAIGN_FP", None)
+                assert fleet.campaign_fingerprint() != baseline, edited
+        monkeypatch.setattr(fleet, "_CAMPAIGN_FP", None)
+        assert fleet.campaign_fingerprint() == baseline

@@ -94,6 +94,16 @@ def racy_c(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def stray_break_c(tmp_path):
+    # ``check`` rejects this (break outside loop/switch in H); the
+    # simulator must fail the same way, as an InterpError.
+    path = tmp_path / "stray_break.c"
+    path.write_text("void H(void) {\n    unsigned a;\n    a = 1;\n"
+                    "    break;\n}\n")
+    return str(path)
+
+
 class TestCheckExitCodes:
     def test_clean_file_exits_zero(self, clean_c):
         proc = run_cli("check", clean_c)
@@ -294,6 +304,27 @@ class TestSimulateHardening:
         assert "failure: type=InterpError" in proc.stdout
         assert "Traceback" not in proc.stderr
 
+    def test_stray_break_is_internal_not_a_traceback(self, stray_break_c):
+        proc = run_cli("simulate", stray_break_c, "--dispatch", "1=H")
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert ("failure: type=InterpError message=break outside "
+                "loop/switch in H") in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+    def test_stack_exhaustion_is_internal_not_a_traceback(self, tmp_path):
+        # R's recursive call sits inside 30 nested blocks: Python's stack
+        # runs out before the interpreter's call-depth limit of 64.
+        nested = ("if (n) { " * 30 + "return R(n - 1) + 1;" + " }" * 30)
+        src = tmp_path / "deep.c"
+        src.write_text(f"unsigned R(unsigned n) {{ {nested} return 0; }}\n"
+                       f"void H(void) {{ R(60); }}\n")
+        proc = run_cli("simulate", str(src), "--dispatch", "1=H",
+                       "--messages", "2")
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "failure: type=InterpError message=stack exhausted in H" \
+            in proc.stdout
+        assert "Traceback" not in proc.stderr
+
     def test_non_integer_opcode_exits_two(self, sim_clean_c):
         proc = run_cli("simulate", sim_clean_c, "--dispatch", "x=Handler")
         assert proc.returncode == 2
@@ -318,6 +349,16 @@ class TestCampaignExitCodes:
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "confirmed" in proc.stdout
         assert "minimal repro" in proc.stdout
+
+    def test_stray_break_is_recorded_as_the_runs_error(self, stray_break_c):
+        proc = run_cli("campaign", stray_break_c, "--dispatch", "1=H",
+                       "--runs", "2", "--shard-size", "2", "--messages", "3",
+                       "--no-cache", "--format", "json")
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+        crashes = __import__("json").loads(proc.stdout)["crashes"]
+        assert [c["error"] for c in crashes] == [
+            ["InterpError", "break outside loop/switch in H"]] * 2
 
     def test_missing_dispatch_exits_two(self, racy_c):
         proc = run_cli("campaign", racy_c, "--runs", "2", "--no-cache")

@@ -286,3 +286,47 @@ def test_property_add_matches_c_semantics(a, b):
 def test_property_shift_matches_c_semantics(a, s):
     interp = make("unsigned f(unsigned a, unsigned s) { return a << s; }")
     assert interp.call("f", [a, s]) == (a << s) % 2**32
+
+
+class TestNoEscapes:
+    """Every failure of a simulated handler is an ``InterpError``."""
+
+    def test_stray_break_is_an_interp_error(self):
+        interp = make("void H(void) { unsigned a = 1; break; }")
+        with pytest.raises(InterpError,
+                           match=r"^break outside loop/switch in H$"):
+            interp.call("H")
+        assert interp._steps == 3  # decl, its literal, break; nothing after
+
+    def test_stray_continue_is_an_interp_error(self):
+        interp = make("void H(void) { if (1) { continue; } }")
+        with pytest.raises(InterpError,
+                           match=r"^continue outside loop in H$"):
+            interp.call("H")
+
+    def test_break_in_callee_does_not_end_callers_loop(self):
+        interp = make("""
+            void leave(void) { break; }
+            unsigned H(void) {
+                unsigned i = 0;
+                while (i < 3) { i++; leave(); }
+                return i;
+            }
+        """)
+        with pytest.raises(InterpError,
+                           match=r"^break outside loop/switch in leave$"):
+            interp.call("H")
+
+    def test_python_stack_exhaustion_names_the_handler(self):
+        # A recursive helper whose call sits deep inside nested blocks
+        # runs out of Python stack before max_depth stops it.
+        depth = 30
+        nested = "if (n) { " * depth + "return R(n - 1) + 1;" + " }" * depth
+        interp = make(f"""
+            unsigned R(unsigned n) {{ {nested} return 0; }}
+            unsigned H(void) {{ return R(60); }}
+        """)
+        with pytest.raises(InterpError, match=r"^stack exhausted in H: "):
+            interp.call("H")
+        assert interp._depth == 0
+        assert interp.call("R", [2]) == 2
