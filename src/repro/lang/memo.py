@@ -100,6 +100,19 @@ class _noop:
         pass
 
 
+def make_room_for(filenames) -> None:
+    """Before work on ``filenames``: when one of them has no memoized
+    parse, drop every memoized unit not among them, so the parse to come
+    replaces the units held rather than adding to them.  Nothing is
+    dropped while every one of them is memoized (a forked worker that
+    inherited its parent's parses keeps them all)."""
+    keep = set(filenames)
+    if keep <= {key[0] for key in _MEMO}:
+        return
+    for key in [key for key in _MEMO if key[0] not in keep]:
+        del _MEMO[key]
+
+
 def clear_memo() -> None:
     """Drop every memoized unit (tests; long-lived embedding processes)."""
     _MEMO.clear()

@@ -338,8 +338,8 @@ class _Worker:
         self.conn = conn
         self.current = None        # (item, attempt) while busy
         self.started_at = 0.0
-        #: Every unit this process has been sent: its parse memo holds
-        #: their ASTs, so more work on them costs no parse.
+        #: The units of the item this process was sent last: its parse
+        #: memo holds their ASTs, so more work on them costs no parse.
         self.units: set = set()
 
 
@@ -351,15 +351,19 @@ def _worker_main(config, conn) -> None:
     execution mode — inline, pool, supervised — analyses identically),
     and (if the config carries a plan) worker-level fault injection,
     then serves ``(index, attempt, item)`` requests until the sentinel
-    or EOF.  Ignores SIGINT so a terminal Ctrl-C (delivered to the
-    whole process group) leaves workers alive for the parent's graceful
-    drain.
+    or EOF.  Before an item over units it has not parsed, it drops the
+    units it has (:func:`repro.lang.memo.make_room_for`): affinity
+    (:func:`_pick`) has sent it every ready item over those, so its
+    memory is one item's units, whichever units timing handed it.
+    Ignores SIGINT so a terminal Ctrl-C (delivered to the whole process
+    group) leaves workers alive for the parent's graceful drain.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover
         pass
     from . import parallel
+    from ..lang.memo import make_room_for
     from ..obs.progress import write_heartbeat
     parallel._init_worker(config)
     parallel._arm_worker_faults(config)
@@ -373,6 +377,7 @@ def _worker_main(config, conn) -> None:
             return
         index, attempt, item = message
         parallel._WORKER_ATTEMPT = attempt
+        make_room_for(item.paths)
         write_heartbeat(heartbeat_dir, index, attempt, "start")
         try:
             response = (index, "ok", parallel._execute_item(item, config))
@@ -416,9 +421,9 @@ def _pick(queue: list, now: float, mine: set, others: set):
 
     Worker affinity, so each unit is parsed by as few processes as
     possible.  In order of preference: the first ready entry whose
-    units the worker (``mine``) has all been sent already; else the
-    first one none of whose units any other worker (``others``) has
-    been sent; else the first ready entry.  A fault-free run of
+    units the worker (``mine``) holds all of; else the first one none
+    of whose units any other worker (``others``) holds; else the first
+    ready entry.  A fault-free run of
     per-unit items parses each unit once, plus once more each time an
     idle worker finds every remaining unit started by another; with
     two workers, that happens at most once."""
@@ -537,7 +542,7 @@ def supervise_items(pending: list, config, jobs: int,
                         continue
                     worker.current = (item, attempt)
                     worker.started_at = now
-                    worker.units.update(item.paths)
+                    worker.units = set(item.paths)
             busy = [worker for worker in workers
                     if worker.current is not None]
             if progress is not None:

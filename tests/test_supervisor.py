@@ -237,6 +237,58 @@ class TestWorkerAffinity:
         assert _pick(queue, 1.0, mine={"a.c"}, others=set()) == 1
         assert _pick(queue, 1.0, mine={"a.c", "b.c"}, others=set()) == 0
 
+    def test_a_parse_replaces_the_units_held(self):
+        from repro.lang import clear_memo, memo, parse_annotated
+
+        def held():
+            return sorted({key[0] for key in memo._MEMO})
+
+        clear_memo()
+        try:
+            parse_annotated("a.c", "int f(void) { return 1; }")
+            parse_annotated("b.c", "int g(void) { return 2; }")
+            # Every unit named is memoized (a forked worker inherits
+            # its parent's parses): nothing is dropped.
+            memo.make_room_for(["a.c"])
+            assert held() == ["a.c", "b.c"]
+            # One is not: the others go before it is parsed.
+            memo.make_room_for(["b.c", "c.c"])
+            assert held() == ["b.c"]
+        finally:
+            clear_memo()
+
+    def test_a_worker_holds_only_the_units_of_its_item(self, tmp_path,
+                                                       monkeypatch):
+        # Two workers share three units, so one of them moves to a
+        # second unit; it must have dropped the first by then, or its
+        # peak memory depends on which units timing handed it.
+        import repro.mc.parallel as parallel_mod
+        from repro.lang import clear_memo, memo
+
+        paths = []
+        for name, text in (("a.c", FILE_A), ("b.c", FILE_B),
+                           ("c.c", CLEAN_A)):
+            (tmp_path / name).write_text(text)
+            paths.append(str(tmp_path / name))
+        log = tmp_path / "held.jsonl"
+        real = parallel_mod._run_checker_item
+
+        def recording(item, config):
+            payload = real(item, config)
+            held = sorted({key[0] for key in memo._MEMO})
+            with open(log, "a") as fh:
+                fh.write(json.dumps([sorted(item.paths), held]) + "\n")
+            return payload
+
+        monkeypatch.setattr(parallel_mod, "_run_checker_item", recording)
+        # Forked workers inherit this process's parse memo.
+        clear_memo()
+        check_files(paths, jobs=2)
+        entries = [json.loads(line)
+                   for line in log.read_text().splitlines()]
+        assert {units[0] for units, _ in entries} == set(paths)
+        assert all(held == units for units, held in entries)
+
     def test_jobs2_parses_each_unit_about_once(self, tmp_path, monkeypatch,
                                                capsys):
         from repro import cli
