@@ -7,7 +7,9 @@ must produce identical diagnostics; the benchmark reports the wall-clock
 gap and the number of paths the naive engine had to walk.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,11 @@ from repro.cfg import build_cfg
 from repro.checkers.metal_sources import FIGURE_2
 from repro.lang import annotate, parse
 from repro.metal import ReportSink, parse_metal
-from repro.mc.engine import run_machine, run_machine_naive
+from repro.mc.engine import run_machine
+
+# The naive enumerator is a test oracle (tests/reference_engine.py).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.reference_engine import run_machine_naive  # noqa: E402
 
 
 def _branchy_function(branches: int):

@@ -12,8 +12,10 @@ This benchmark measures both halves on one generated protocol at
 ``jobs=2``: the purity assertion is exact string equality of the
 ``run_to_json`` documents, the overhead gate is
 ``observed - plain <= max(plain * 5%, 0.3s)``.  Results land in
-``BENCH_obs_overhead.json`` with a metrics snapshot and the ledger run
-id that makes the artifact joinable against ``ledger.jsonl``.
+``BENCH_obs_overhead.json`` with a metrics snapshot, taken from one
+*untimed* observed sweep so observation never prices the measurement,
+and the ledger run id that makes the artifact joinable against
+``ledger.jsonl``.
 
 Also runnable standalone: ``python benchmarks/bench_obs_overhead.py``.
 """
@@ -23,15 +25,11 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
-from _timing import (
-    materialize_protocols,
-    observed_snapshot,
-    timed,
-    write_results,
-)
-
+from repro.flash.codegen import generate_protocol
+from repro.lang import clear_memo
 from repro.mc import check_files, run_to_json
 from repro.obs import Observation
 
@@ -44,6 +42,19 @@ BUDGET = 0.05
 #: Timer-noise floor: on sub-second sweeps a 5% band is smaller than
 #: scheduler jitter, so the assertion uses max(5%, this many seconds).
 NOISE_FLOOR_SECONDS = 0.3
+
+
+def timed(fn):
+    """``(wall_seconds, result)`` for one call, parse memo cleared first.
+
+    The per-process parse memo outlives ``check_files`` calls (and fork
+    workers inherit it); clearing it keeps every measured sweep's
+    "cold" honest.
+    """
+    clear_memo()
+    start = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - start, result
 
 
 def _timed_sweep(paths: list[str], scratch: Path, *,
@@ -75,15 +86,43 @@ def _timed_sweep(paths: list[str], scratch: Path, *,
     return best, doc
 
 
+def _ledger_record(output: str, results: dict,
+                   metrics: dict) -> str | None:
+    """Append one ``command="bench"`` record to the default run ledger.
+
+    Benchmark artifacts and analysis runs land in the same
+    ``ledger.jsonl`` (see :mod:`repro.obs.ledger`), so ``mc-check
+    history`` shows the benchmark next to the runs it prices.  An
+    unwritable ledger never fails the benchmark."""
+    from repro.mc.supervisor import new_run_id
+    from repro.obs.ledger import RunLedger, ledger_path, make_record
+
+    run_id = new_run_id()
+    config = {k: v for k, v in results.items()
+              if isinstance(v, (str, int, float, bool))}
+    record = make_record(
+        run_id=run_id, command="bench", files=[],
+        config={"bench": Path(output).stem, **config},
+        wall=results["observed_seconds"], exit_code=0, reports={},
+        counters=metrics.get("counters"),
+    )
+    return run_id if RunLedger(ledger_path()).append(record) else None
+
+
 def run_benchmark(output: str = OUTPUT) -> dict:
     workdir = Path(tempfile.mkdtemp(prefix="bench-obs-"))
     try:
-        paths = materialize_protocols(workdir, (PROTOCOL,))[PROTOCOL]
+        gp = generate_protocol(PROTOCOL)
+        for filename, text in gp.files.items():
+            (workdir / filename).write_text(text)
+        paths = sorted(str(workdir / f) for f in gp.files)
         plain, plain_doc = _timed_sweep(paths, workdir, observed=False)
         observed, observed_doc = _timed_sweep(paths, workdir, observed=True)
-        metrics = observed_snapshot(
-            lambda obs: check_files(paths, jobs=JOBS, keep_going=True,
-                                    observation=obs))
+        clear_memo()
+        observation = Observation()
+        metrics = observation.finalize(check_files(
+            paths, jobs=JOBS, keep_going=True,
+            observation=observation))["metrics"]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -100,8 +139,11 @@ def run_benchmark(output: str = OUTPUT) -> dict:
         "budget_fraction": BUDGET,
         "noise_floor_seconds": NOISE_FLOOR_SECONDS,
         "reports_identical": plain_doc == observed_doc,
+        "metrics": metrics,
     }
-    return write_results(output, results, metrics=metrics)
+    results["run_id"] = _ledger_record(output, results, metrics)
+    Path(output).write_text(json.dumps(results, indent=2) + "\n")
+    return results
 
 
 def test_obs_overhead(show):

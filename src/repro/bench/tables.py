@@ -89,7 +89,7 @@ class Experiment:
         # infeasible-path pruning — its FP rows (the coma idiom, the
         # Table 2 correlated branches) exist precisely because every
         # syntactic path was walked.  ``feasibility=True`` measures the
-        # same corpus with pruning on (bench_feasibility_fp.py).
+        # same corpus with pruning on (tests/test_feasibility.py).
         self.feasibility = feasibility
         self.protocols: Optional[dict[str, GeneratedProtocol]] = None
         self.results: dict[str, dict[str, CheckerResult]] = {}

@@ -1030,6 +1030,26 @@ def _jobs_arg(text: str) -> int:
             "expected a worker count or 'auto'") from None
 
 
+def _ranged(kind, low, high=None, *, above=False):
+    """An argparse ``type``: ``kind(text)``, at least ``low`` (more than
+    ``low`` with ``above``) and at most ``high``.  Like ``--jobs``, a
+    value out of range is a usage error (exit 2) before any work
+    starts."""
+    def parse(text: str):
+        value = kind(text)
+        ok = value > low if above else value >= low
+        if not (ok and (high is None or value <= high)):
+            noun = "an integer" if kind is int else "a number"
+            bound = (f"from {low} to {high}" if high is not None
+                     else f"{'above' if above else 'of at least'} {low}")
+            raise argparse.ArgumentTypeError(
+                f"invalid value {text!r}: expected {noun} {bound}")
+        return value
+    # argparse names the type in its message for a non-numeric value.
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_fleet_flags(parser: argparse.ArgumentParser) -> None:
     """Worker-pool and result-cache flags shared by check/metal."""
     parser.add_argument("--jobs", type=_jobs_arg,
@@ -1044,12 +1064,13 @@ def _add_fleet_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         default=bool(os.environ.get("MC_CHECK_NO_CACHE")),
                         help="disable the content-hash result cache")
-    parser.add_argument("--item-timeout", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--item-timeout", type=_ranged(float, 0, above=True),
+                        default=None, metavar="SECONDS",
                         help="watchdog: kill and retry any single work item "
                              "running longer than this (default: no per-item "
                              "timeout; hung workers wait forever)")
-    parser.add_argument("--max-retries", type=int, default=None, metavar="N",
+    parser.add_argument("--max-retries", type=_ranged(int, 0), default=None,
+                        metavar="N",
                         help="re-dispatch an item whose worker crashed or "
                              "hung up to N times before quarantining it "
                              "(default: 2)")
@@ -1090,8 +1111,8 @@ def _add_fleet_flags(parser: argparse.ArgumentParser) -> None:
                              "correlated-branch false positives; 'off' "
                              "walks every syntactic path like the paper's "
                              "engine; default: on)")
-    parser.add_argument("--min-confidence", type=float, default=None,
-                        metavar="SCORE",
+    parser.add_argument("--min-confidence", type=_ranged(float, 0, 1),
+                        default=None, metavar="SCORE",
                         help="drop reports whose z-ranking confidence is "
                              "below SCORE (0..1); see docs/analysis.md")
     parser.add_argument("--pack-dir", action="append", default=None,
@@ -1138,7 +1159,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="a crashing checker is quarantined (exit 2) "
                               "instead of aborting the whole run")
     _add_fleet_flags(p_check)
-    p_check.add_argument("--budget-seconds", type=float, default=None,
+    p_check.add_argument("--budget-seconds",
+                         type=_ranged(float, 0, above=True), default=None,
                          help="run-wide wall-clock deadline shared by all "
                               "workers; work past it is skipped and the "
                               "result marked DEGRADED (disables the cache)")
@@ -1150,10 +1172,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_metal.add_argument("--keep-going", action="store_true",
                          help="quarantine crashing (checker, function) "
                               "pairs instead of aborting")
-    p_metal.add_argument("--budget-steps", type=int, default=None,
+    p_metal.add_argument("--budget-steps", type=_ranged(int, 0, above=True),
+                         default=None,
                          help="stop exploring after this many machine steps "
                               "(partial results, marked DEGRADED)")
-    p_metal.add_argument("--budget-seconds", type=float, default=None,
+    p_metal.add_argument("--budget-seconds",
+                         type=_ranged(float, 0, above=True), default=None,
                          help="wall-clock cap for the whole analysis "
                               "(a single run-wide deadline, shared by all "
                               "workers under --jobs)")
@@ -1167,7 +1191,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="OPCODE=HANDLER",
                        help="dispatch-table entry (repeatable)")
     p_sim.add_argument("--messages", type=int, default=1000)
-    p_sim.add_argument("--nodes", type=int, default=2)
+    p_sim.add_argument("--nodes", type=_ranged(int, 1), default=2)
     p_sim.add_argument("--buffers", type=int, default=16)
     p_sim.add_argument("--lane-capacity", type=int, default=8)
     p_sim.add_argument("--max-hops", type=int, default=4)
@@ -1214,7 +1238,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 7)")
     p_camp.add_argument("--messages", type=int, default=25,
                         help="workload messages per run (default: 25)")
-    p_camp.add_argument("--nodes", type=int, default=2)
+    p_camp.add_argument("--nodes", type=_ranged(int, 1), default=2)
     p_camp.add_argument("--buffers", type=int, default=16)
     p_camp.add_argument("--lane-capacity", type=int, default=8)
     p_camp.add_argument("--max-hops", type=int, default=2)

@@ -14,10 +14,6 @@ kept as a test oracle only: setting :data:`_PATHS_ORACLE` swaps in
 :class:`_IdentitySlice`, and the differential tests hold reports,
 suppressed reports, provenance, and confidence byte-identical between
 the two (docs/engine.md).
-
-:func:`run_machine_naive` enumerates paths explicitly, with no state
-cache; it exists for the property tests and the state-cache ablation
-benchmark (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -105,7 +101,7 @@ class _Run:
         self.feas = feas
         self.current_store: Optional[_feas.Store] = None
         # The machine's slice of the CFG (an _IdentitySlice for the
-        # paths oracle and the naive enumerator).
+        # paths oracle).
         self.cfg_slice = cfg_slice
         # Work counters (see class docstring).
         self.steps = 0
@@ -505,76 +501,6 @@ def _edge_store(run: _Run, block, store, edge, key):
     if store is _PRUNED:
         return _PRUNED, None
     return run.feas.restrict(store, edge.dst), fact
-
-
-def run_machine_naive(sm: StateMachine, cfg: Cfg, sink: ReportSink,
-                      max_paths: int = 100000,
-                      feasibility: Optional[bool] = None) -> int:
-    """Run ``sm`` by explicit path enumeration (no state cache).
-
-    Back edges are skipped, as in :mod:`repro.cfg.paths`.  Returns the
-    number of paths walked.  Exists for the property tests and to
-    quantify what the state cache buys (ablation 1 in DESIGN.md); no
-    production path calls it.  Feasibility pruning applies here too
-    (same semantics as :func:`run_machine`; pruned paths are simply not
-    enumerated), though no provenance is recorded.
-
-    Note: on loop-free CFGs this produces exactly the diagnostics of
-    :func:`run_machine`; with loops it can under-approximate, because
-    cutting back edges loses the "loop body executed, then exited"
-    paths that the cached engine covers by following back edges with
-    memoization.
-    """
-    initial = sm.initial_state(cfg.function)
-    if initial is None:
-        return 0
-    if feasibility is None:
-        feasibility = _feas.default_enabled()
-    feas = _feas.for_cfg(cfg) if feasibility else None
-    run = _Run(sm, cfg, sink, None, feas, _IdentitySlice())
-    span = (run.tracer.span("function", f"{cfg.name} (naive)",
-                            checker=sm.name)
-            if run.tracer.enabled else None)
-    back = cfg.back_edges()
-    paths_walked = 0
-    initial_store = feas.initial_store() if feas is not None else None
-    previous_gate = sink.report_gate
-    sink.report_gate = run.opaque_gate
-    stack: list[tuple] = [(cfg.entry, initial, initial_store, False)]
-    try:
-        while stack:
-            block, state, store, opaque = stack.pop()
-            run.current_store = store
-            run.path_opaque = opaque
-            state, stopped = run.run_block_events(block, state)
-            store = run.current_store
-            opaque = run.path_opaque
-            if stopped:
-                paths_walked += 1
-                continue
-            edges = [
-                e for e in block.out_edges
-                if (block.index, e.dst.index) not in back
-            ]
-            if block is cfg.exit or not edges:
-                run.at_path_end(state)
-                paths_walked += 1
-                if paths_walked > max_paths:
-                    raise ValueError(
-                        f"{cfg.name}: more than {max_paths} paths")
-                continue
-            for edge in reversed(edges):
-                next_store, _fact = _edge_store(run, block, store, edge,
-                                                None)
-                if next_store is _PRUNED:
-                    continue
-                stack.append((edge.dst,
-                              _edge_state(sm, block, state, edge),
-                              next_store, opaque))
-    finally:
-        sink.report_gate = previous_gate
-        _flush_run(run, span)
-    return paths_walked
 
 
 def check_function(sm: StateMachine, function: ast.FunctionDef,

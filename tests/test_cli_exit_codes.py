@@ -378,3 +378,45 @@ class TestCampaignExitCodes:
         assert plain.read_bytes() == observed.read_bytes()
         snapshot = __import__("json").loads(metrics.read_text())
         assert snapshot["counters"]["campaign.runs"] == 3
+
+
+class TestNumericFlagRanges:
+    """An out-of-range numeric flag is a usage error (exit 2) from
+    argparse before any work starts, as a bad ``--jobs`` is.  Run
+    anyway, each one misleads: a confidence above 1 hides a real race
+    behind "no errors found", a negative budget skips every item, a
+    negative item timeout kills every worker as hung, and zero nodes
+    die in a ``ZeroDivisionError`` with exit 1 ("bugs found")."""
+
+    @pytest.mark.parametrize("command, flag, bad, boundary", [
+        ("check", "--min-confidence", "5", "1"),
+        ("check", "--min-confidence", "-0.5", "0"),
+        ("check", "--budget-seconds", "-1", "0.001"),
+        ("metal", "--budget-steps", "-1", "1"),
+        ("metal", "--budget-steps", "0", "1"),
+        ("metal", "--budget-seconds", "0", "0.001"),
+        ("check", "--item-timeout", "-1", "0.001"),
+        ("check", "--max-retries", "-3", "0"),
+        ("simulate", "--nodes", "0", "1"),
+        ("campaign", "--nodes", "-1", "1"),
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, command, flag, bad,
+                                                 boundary, racy_c, tmp_path):
+        from repro.cli import build_parser
+        metal = tmp_path / "wait.metal"
+        metal.write_text(FIGURE_2)
+        inputs = {
+            "check": [racy_c, "--jobs", "2", "--no-cache"],
+            "metal": [str(metal), racy_c, "--no-cache"],
+            "simulate": [racy_c, "--dispatch", "1=Racy"],
+            "campaign": [racy_c, "--dispatch", "1=Racy", "--runs", "2",
+                         "--no-cache"],
+        }[command]
+        proc = run_cli(command, *inputs, flag, bad)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert f"argument {flag}: invalid value {bad!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        # The edge of the range stays valid.
+        args = build_parser().parse_args([command, *inputs, flag, boundary])
+        assert getattr(args, flag[2:].replace("-", "_")) == float(boundary)

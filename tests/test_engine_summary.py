@@ -185,18 +185,75 @@ class TestPaperCorpusEquivalence:
             paths.append(str(p))
         docs = {}
         scores = {}
+        counters = {}
         for oracle in (True, False):
             clear_function_summaries()
+            registry = MetricsRegistry()
+            previous = activate_metrics(registry)
             # check_files at jobs=1 runs in this process, so the oracle
             # switch reaches every checker's run_machine call.
-            with paths_oracle(oracle):
-                run = check_files(sorted(paths), keep_going=True,
-                                  cache=None)
+            try:
+                with paths_oracle(oracle):
+                    run = check_files(sorted(paths), keep_going=True,
+                                      cache=None)
+            finally:
+                activate_metrics(previous)
             docs[oracle] = json.dumps(run_to_json(run), indent=2,
                                       sort_keys=True)
             scores[oracle] = score_run(run)
+            counters[oracle] = registry.counters
         assert docs[True] == docs[False]
         assert scores[True] == scores[False]
+        # The same answers for a fraction of the work: about 17x fewer
+        # machine steps on every protocol (bitvector: 19,792 against
+        # the oracle's 332,259) and fewer (block, state) visits.
+        unsliced, sliced = counters[True], counters[False]
+        assert sliced["engine.steps"] * 10 <= unsliced["engine.steps"]
+        assert sliced["engine.states"] < unsliced["engine.states"]
+
+
+# -- branch-depth sweep --------------------------------------------------------
+
+def _sweep_source(depth: int) -> str:
+    """A handler whose only checkable site is at the top: an unwaited
+    data-buffer read, followed by ``depth`` variables each tested,
+    conditionally reassigned, and tested again — so every feasibility
+    fact stays relevant across the middle of the function and the
+    oracle's visited set sees a distinct store per branch combination."""
+    lines = ["void sweep_handler(long addr, long len) {",
+             "    MISCBUS_READ_DB(addr, len);"]
+    lines += [f"    int f{i};" for i in range(1, depth + 1)]
+    for value in (0, 1):
+        lines += [f"    if (f{i} != 0) {{ f{i} = {value}; }}"
+                  for i in range(1, depth + 1)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("depth", [4, 6, 8])
+def test_depth_sweep_oracle_grows_engine_stays_flat(depth):
+    # The oracle visits 2^(depth+2) - 2 (block, state, store) points;
+    # the engine's slice proves everything after the read dead, so it
+    # visits one block and takes one step at every depth.  Both report
+    # the read once.
+    sm = parse_metal(FIGURE_2)
+    counters = {}
+    for oracle in (True, False):
+        clear_function_summaries()
+        (cfg,) = program_from_source(_sweep_source(depth)).cfgs()
+        sink = ReportSink()
+        registry = MetricsRegistry()
+        previous = activate_metrics(registry)
+        try:
+            with paths_oracle(oracle):
+                run_machine(sm, cfg, sink, feasibility=True)
+        finally:
+            activate_metrics(previous)
+        assert len(sink.reports) == 1
+        counters[oracle] = registry.counters
+    assert counters[True]["engine.states"] == 2 ** (depth + 2) - 2
+    assert counters[False]["engine.states"] == 1
+    assert counters[False]["engine.steps"] == 1
 
 
 # -- summary replay ------------------------------------------------------------

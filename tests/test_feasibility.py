@@ -31,10 +31,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import check_source, parse_metal
-from repro.checkers.metal_sources import BUILTIN_LISTINGS, FIGURE_2
+from repro.checkers.metal_sources import (
+    BUFFER_RACE_FULL,
+    BUILTIN_LISTINGS,
+    FIGURE_2,
+)
 from repro.mc import (
     ResultCache,
     check_files,
+    clear_function_summaries,
     confidence_of,
     feasibility,
     filter_by_confidence,
@@ -42,11 +47,14 @@ from repro.mc import (
     score_run,
 )
 from repro.mc import engine as mc_engine
-from repro.mc.engine import run_machine, run_machine_naive
+from repro.mc.engine import run_machine
 from repro.mc.supervisor import RunJournal, SupervisorPolicy
 from repro.metal import StateMachine, lint_machine, lint_source
 from repro.metal.runtime import ReportSink
+from repro.obs.metrics import MetricsRegistry, activate_metrics
 from repro.project import program_from_source
+
+from .reference_engine import run_machine_naive
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -257,6 +265,103 @@ def test_pruning_never_drops_a_true_bug(items, engine):
     assert expected <= on_lines, (
         f"[{engine}] feasibility-on lost true bugs "
         f"{expected - on_lines}\n{source}")
+
+
+# -- the paper corpus, feasibility off vs on -----------------------------------
+
+def _corpus_totals(experiment) -> dict:
+    """Ground-truth classification summed over every protocol and checker."""
+    fields = ("errors", "minor", "violations", "fps", "useless_annotations",
+              "unmatched")
+    totals = dict.fromkeys(fields, 0)
+    for proto, results in experiment.results.items():
+        for checker in results:
+            cls = experiment.classified(proto, checker)
+            for field in fields:
+                totals[field] += getattr(cls, field)
+    return totals
+
+
+class TestPaperCorpusPruning:
+    def test_recall_kept_fps_and_useless_annotations_drop(
+            self, paper_corpus, pruned_paper_corpus):
+        # The paper's engine walks every syntactic path; pruning drops
+        # two false positives and 17 of §6's useless annotations, and
+        # keeps every true report.
+        (off, off_counters), (on, on_counters) = (paper_corpus,
+                                                  pruned_paper_corpus)
+        recall = {"errors": 34, "minor": 6, "violations": 11, "unmatched": 0}
+        assert _corpus_totals(off) == {**recall, "fps": 44,
+                                       "useless_annotations": 25}
+        assert _corpus_totals(on) == {**recall, "fps": 42,
+                                      "useless_annotations": 8}
+        assert off_counters.get("engine.pruned_edges", 0) == 0
+        assert on_counters.get("engine.pruned_edges", 0) > 0
+
+
+# -- the cost of tracking facts when nothing prunes ----------------------------
+
+#: Every branch tests a distinct local used exactly once, so no condition
+#: can contradict an earlier one and every fact dies at its branch: the
+#: relevance GC's best case, and the honest worst case for pure
+#: overhead, since the facts *are* tracked.
+_NO_PRUNE_HANDLER = """
+void Plain{i}(void) {{
+    unsigned addr;
+    unsigned buf;
+    unsigned c0;
+    unsigned c1;
+    unsigned c2;
+    unsigned c3;
+    addr = HANDLER_GLOBALS(header.nh.addr);
+    c0 = HANDLER_GLOBALS(header.nh.len);
+    c1 = HANDLER_GLOBALS(header.nh.src);
+    c2 = HANDLER_GLOBALS(header.nh.dst);
+    c3 = HANDLER_GLOBALS(header.nh.op);
+    if (c0) {{
+        WAIT_FOR_DB_FULL(addr);
+    }}
+    if (c1) {{
+        MISCBUS_READ_DB(addr, buf);
+    }}
+    if (c2) {{
+        MISCBUS_READ_DB(addr, buf);
+    }}
+    if (c3) {{
+        DB_FREE();
+    }}
+    return;
+}}
+"""
+
+
+def test_nothing_to_prune_costs_no_extra_work():
+    # With nothing to prune, feasibility on must do exactly the work of
+    # feasibility off: restricting each store to the facts still live
+    # keeps the (block, state, store) visited set the size of the
+    # (block, state) one.  A store that kept every fact would take 240
+    # steps and visit 480 states here.
+    source = "\n".join(_NO_PRUNE_HANDLER.format(i=i) for i in range(60))
+    cfgs = program_from_source(source).cfgs()
+    sm = parse_metal(BUFFER_RACE_FULL)
+    work = {}
+    for enabled in (False, True):
+        clear_function_summaries()
+        sink = ReportSink()
+        registry = MetricsRegistry()
+        previous = activate_metrics(registry)
+        try:
+            for cfg in cfgs:
+                run_machine(sm, cfg, sink, feasibility=enabled)
+        finally:
+            activate_metrics(previous)
+        work[enabled] = {
+            name: registry.counters.get(f"engine.{name}", 0)
+            for name in ("steps", "states", "merged_states", "pruned_edges")}
+        work[enabled]["reports"] = len(sink.reports)
+    assert work[False] == work[True] == {
+        "steps": 180, "states": 360, "merged_states": 180,
+        "pruned_edges": 0, "reports": 120}
 
 
 # -- cache / parallel / resume with feasibility on -----------------------------

@@ -6,11 +6,9 @@ from repro.lang.parser import parse
 from repro.lang.sema import annotate
 from repro.metal.runtime import ReportSink
 from repro.metal.sm import STOP, StateMachine
-from repro.mc.engine import (
-    check_unit,
-    run_machine,
-    run_machine_naive,
-)
+from repro.mc.engine import check_unit, run_machine
+
+from .reference_engine import run_machine_naive
 
 
 def build(src, name="f"):

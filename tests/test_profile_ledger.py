@@ -164,8 +164,10 @@ class TestProfile:
         crash_view = deterministic_view(build_profile(crash_records))
         clean_view = deterministic_view(build_profile(clean_records))
         assert crash_view == clean_view
-        # The raw traces differ (extra attempts), the views must not.
-        assert len(crash_records) >= len(clean_records)
+        # Each crash was retried.  The raw traces need not be longer:
+        # a crashed attempt dies before it opens a span, and how many
+        # units each worker parses depends on which items it took.
+        assert crashed.supervision.retried == 3
 
     def test_orphan_and_superseded_spans_are_dropped(self):
         def rec(span_id, parent, kind, name, item, wall, attrs=None,

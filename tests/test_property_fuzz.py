@@ -20,8 +20,10 @@ from repro.checkers.metal_sources import FIGURE_3
 from repro.errors import ReproError
 from repro.lang import annotate, parse
 from repro.metal import ReportSink, parse_metal
-from repro.mc.engine import run_machine, run_machine_naive
+from repro.mc.engine import run_machine
 from repro.project import program_from_source
+
+from .reference_engine import run_machine_naive
 
 
 class TestFrontendRobustness:
