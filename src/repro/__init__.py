@@ -22,25 +22,54 @@ Quickstart::
     reports = check_source(sm, open("protocol.c").read())
 """
 
-from .lang import annotate, parse
-from .metal import MatchContext, Report, ReportSink, StateMachine, parse_metal
-from .mc import check_function, check_unit, format_reports
-from .project import HandlerInfo, Program, ProtocolInfo, program_from_source
+import importlib
 
 __version__ = "1.0.0"
 
 
+def _lazy(package: str, exports: dict):
+    """A PEP 562 module ``__getattr__`` for ``package``: each name of
+    ``exports`` (submodule -> names) is imported from its submodule on
+    first access, so importing the package imports none of them and a
+    command loads only the modules it runs."""
+    where = {name: f"{package}.{module}"
+             for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        try:
+            module = where[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}") from None
+        return getattr(importlib.import_module(module), name)
+
+    return __getattr__
+
+
+_EXPORTS = {
+    "lang.sema": ("annotate",),
+    "lang.parser": ("parse",),
+    "metal.parser": ("parse_metal",),
+    "metal.runtime": ("MatchContext", "Report", "ReportSink"),
+    "metal.sm": ("StateMachine",),
+    "mc.engine": ("check_function", "check_unit"),
+    "mc.report": ("format_reports",),
+    "project": ("HandlerInfo", "Program", "ProtocolInfo",
+                "program_from_source"),
+}
+__getattr__ = _lazy(__name__, _EXPORTS)
+
+
 def check_source(sm, source: str, filename: str = "<input>"):
     """Run a state machine over C source text; returns the reports."""
+    from .lang.parser import parse
+    from .lang.sema import annotate
+    from .mc.engine import check_unit
+
     unit = parse(source, filename)
     annotate(unit)
     return check_unit(sm, unit).reports
 
 
-__all__ = [
-    "annotate", "parse", "parse_metal", "check_source",
-    "MatchContext", "Report", "ReportSink", "StateMachine",
-    "check_function", "check_unit", "format_reports",
-    "HandlerInfo", "Program", "ProtocolInfo", "program_from_source",
-    "__version__",
-]
+__all__ = ["check_source", "__version__",
+           *(name for names in _EXPORTS.values() for name in names)]

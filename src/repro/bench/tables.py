@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..cfg import path_stats
+from ..cfg.paths import path_stats
 from ..checkers import CheckerResult, run_all
 from ..flash.codegen import GeneratedProtocol, generate_all
 from ..mc import feasibility as _feasibility

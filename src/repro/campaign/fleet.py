@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..lang.memo import source_fingerprint
+from ..lang.source import source_fingerprint
 from ..mc.cache import (
     ResultCache,
     _sha256,

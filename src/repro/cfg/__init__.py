@@ -1,23 +1,15 @@
 """Control-flow layer: CFG construction, path statistics, call graphs."""
 
-from .builder import CfgBuilder, build_cfg
-from .dominators import DominatorTree, compute_dominators
-from .callgraph import (
-    CallGraph,
-    FlowGraph,
-    FlowNode,
-    emit_flowgraph,
-    load_flowgraph,
-    write_flowgraph,
-)
-from .graph import BasicBlock, Cfg, Edge
-from .paths import FileStats, PathStats, aggregate_stats, enumerate_paths, path_stats
+from .. import _lazy
 
-__all__ = [
-    "CfgBuilder", "build_cfg",
-    "DominatorTree", "compute_dominators",
-    "CallGraph", "FlowGraph", "FlowNode",
-    "emit_flowgraph", "load_flowgraph", "write_flowgraph",
-    "BasicBlock", "Cfg", "Edge",
-    "FileStats", "PathStats", "aggregate_stats", "enumerate_paths", "path_stats",
-]
+_EXPORTS = {
+    "builder": ("CfgBuilder", "build_cfg"),
+    "dominators": ("DominatorTree", "compute_dominators"),
+    "callgraph": ("CallGraph", "FlowGraph", "FlowNode", "emit_flowgraph",
+                  "load_flowgraph", "strongly_connected", "write_flowgraph"),
+    "graph": ("BasicBlock", "Cfg", "Edge"),
+    "paths": ("FileStats", "PathStats", "aggregate_stats", "enumerate_paths",
+              "path_stats"),
+}
+__getattr__ = _lazy(__name__, _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -9,11 +9,9 @@ them together into a global call graph* and traverse that (paper §3.2 and
   annotations to a JSON-able dict (and optionally a file);
 - :func:`load_flowgraph` reads one back;
 - :class:`CallGraph` links a set of flow graphs, exposes callees/callers,
-  and builds a :mod:`networkx` digraph for cycle/SCC queries.
-
-:mod:`networkx` is imported where a graph is built or queried, not at
-module level: importing it takes about a third of a warm no-op
-``check``, and most commands never build a call graph.
+  and answers cycle queries from its strongly-connected components
+  (:func:`strongly_connected`, an iterative Tarjan walk over the
+  graph's ``name -> callees`` map).
 """
 
 from __future__ import annotations
@@ -53,12 +51,17 @@ class FlowGraph:
     nodes: dict[int, FlowNode] = field(default_factory=dict)
 
     def callees(self) -> set[str]:
-        return {
-            name
-            for node in self.nodes.values()
-            for name in node.calls
-            if name is not None
-        }
+        """Every name the graph's events call: single-call events'
+        targets plus each call of an event with several (carried in
+        its annotation's ``calls`` list)."""
+        names: set = set()
+        for node in self.nodes.values():
+            names.update(node.calls)
+            for annotation in node.annotations:
+                if annotation:
+                    names.update(annotation.get("calls") or ())
+        names.discard(None)
+        return names
 
     def to_json(self) -> dict:
         return {
@@ -149,21 +152,70 @@ def load_flowgraph(path: Path) -> FlowGraph:
     return FlowGraph.from_json(json.loads(path.read_text()))
 
 
+def strongly_connected(edges: dict[str, set[str]]) -> list[list[str]]:
+    """The strongly-connected components of ``edges`` (node -> successor
+    nodes, every successor itself a key), each listed after every
+    component it reaches: callees before callers.
+
+    Tarjan's algorithm with an explicit stack, so deep call chains
+    cannot hit the recursion limit.  Roots are tried in ``edges`` order
+    and successors in sorted order, so the result never depends on set
+    iteration order.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    components: list[list[str]] = []
+
+    def visit(node: str) -> tuple:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        return node, iter(sorted(edges[node]))
+
+    for root in edges:
+        if root in index:
+            continue
+        work = [visit(root)]
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in index:
+                    work.append(visit(succ))
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
+
+
 class CallGraph:
     """Linked set of flow graphs for a whole protocol."""
 
     def __init__(self, graphs: Iterable[FlowGraph]):
-        import networkx as nx
-
         self.graphs: dict[str, FlowGraph] = {}
         for graph in graphs:
             self.graphs[graph.function] = graph
-        self.nx = nx.DiGraph()
-        for name, graph in self.graphs.items():
-            self.nx.add_node(name)
-            for callee in graph.callees():
-                if callee in self.graphs:
-                    self.nx.add_edge(name, callee)
+        #: Function -> the defined functions it calls.
+        self.edges: dict[str, set[str]] = {
+            name: {callee for callee in graph.callees()
+                   if callee in self.graphs}
+            for name, graph in self.graphs.items()
+        }
 
     @staticmethod
     def from_files(paths: Iterable[Path]) -> "CallGraph":
@@ -180,32 +232,35 @@ class CallGraph:
         return self.graphs[name]
 
     def callees(self, name: str) -> set[str]:
-        if name not in self.nx:
-            return set()
-        return set(self.nx.successors(name))
+        return set(self.edges.get(name, ()))
 
     def callers(self, name: str) -> set[str]:
-        if name not in self.nx:
-            return set()
-        return set(self.nx.predecessors(name))
+        return {caller for caller, callees in self.edges.items()
+                if name in callees}
+
+    def sccs(self) -> list[list[str]]:
+        """Strongly-connected components, callees first
+        (:func:`strongly_connected`)."""
+        return strongly_connected(self.edges)
+
+    def in_cycle(self, component: list[str]) -> bool:
+        """Whether the functions of one SCC call each other (or the
+        only one calls itself)."""
+        return len(component) > 1 or component[0] in self.edges[component[0]]
 
     def recursive_functions(self) -> set[str]:
         """Functions involved in any call cycle (including self-recursion)."""
-        import networkx as nx
-
-        result: set[str] = set()
-        for scc in nx.strongly_connected_components(self.nx):
-            if len(scc) > 1:
-                result |= scc
-            else:
-                (only,) = scc
-                if self.nx.has_edge(only, only):
-                    result.add(only)
-        return result
+        return {name for component in self.sccs()
+                if self.in_cycle(component) for name in component}
 
     def reachable_from(self, name: str) -> set[str]:
-        import networkx as nx
-
-        if name not in self.nx:
+        if name not in self.edges:
             return set()
-        return set(nx.descendants(self.nx, name)) | {name}
+        seen = {name}
+        todo = [name]
+        while todo:
+            for callee in self.edges[todo.pop()]:
+                if callee not in seen:
+                    seen.add(callee)
+                    todo.append(callee)
+        return seen

@@ -1,4 +1,4 @@
-"""Checker framework: result model, base class, and registry.
+"""Checker framework: base classes and registration.
 
 Each checker corresponds to one section of the paper and produces a
 :class:`CheckerResult`: the diagnostics it emitted, how many times the
@@ -7,63 +7,38 @@ annotation sites it honoured (Table 4 counts these).  Classifying
 diagnostics into true errors / minor violations / false positives is the
 benchmark layer's job — the paper's authors did that by hand; we do it
 against the code generator's ground-truth manifest.
+
+The result model, the registry and its lookups live in
+:mod:`repro.mc.registry`, which the fleet imports without importing
+any checker; they are re-exported here.
 """
 
 from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Type
 
-from ..lang.source import Location
-from ..metal.runtime import Report, ReportSink
+from ..mc.registry import (
+    _ORIGINS,
+    _REGISTRY,
+    BUILTIN_PACK,
+    CheckerOrigin,
+    CheckerResult,
+    checker_names,
+    checker_origin,
+    is_pack_checker,
+)
+from ..metal.runtime import ReportSink
 from ..project import Program, ProtocolInfo
 
-
-@dataclass
-class CheckerResult:
-    """Everything one checker produced over one program."""
-
-    checker: str
-    reports: list[Report] = field(default_factory=list)
-    #: How many program points the check examined (paper's "Applied").
-    applied: int = 0
-    #: Annotation calls (``has_buffer``/``no_free_needed``/...) honoured.
-    annotations: list[Location] = field(default_factory=list)
-    #: Checker-specific extras (e.g. Table 5's handler/variable counts).
-    extra: dict = field(default_factory=dict)
-    #: (checker, function) pairs this run had to isolate after a crash.
-    quarantines: list = field(default_factory=list)
-    #: True when the result is partial (quarantine or exhausted budget).
-    degraded: bool = False
-    #: Human-readable notes on what was cut short and why (engine
-    #: degradation, skipped work past a run deadline, ...).
-    degradation_notes: list[str] = field(default_factory=list)
-    #: Per-report path provenance, keyed on (checker, message, location)
-    #: — the trail ``mc-check explain`` renders (repro.obs.provenance).
-    provenance: dict = field(default_factory=dict)
-    #: (report, reason) pairs held back by the engine's report gate —
-    #: e.g. reports whose path crossed a tolerant-frontend opaque
-    #: region (``suppressed_by="opaque"``).
-    suppressed: list = field(default_factory=list)
-    #: A two-pass checker's per-unit facts (JSON-able), set by
-    #: :meth:`TwoPassChecker.local` and read by its ``link``.
-    #: ``None`` on every linked or single-pass result, and on a part
-    #: that never completed (skipped, poisoned, crashed).
-    facts: Optional[object] = None
-
-    @property
-    def errors(self) -> list[Report]:
-        return [r for r in self.reports if r.severity == "error"]
-
-    @property
-    def warnings(self) -> list[Report]:
-        return [r for r in self.reports if r.severity == "warning"]
-
-    def __repr__(self) -> str:
-        return (f"<CheckerResult {self.checker}: {len(self.reports)} reports, "
-                f"applied {self.applied}>")
+__all__ = [
+    "BUILTIN_PACK", "Checker", "CheckerOrigin", "CheckerResult", "Parts",
+    "TwoPassChecker", "all_checkers", "checker_names", "checker_origin",
+    "get_checker", "is_pack_checker", "register", "register_pack_checker",
+    "run_all", "unregister_pack_checker",
+]
 
 
 class Checker(ABC):
@@ -150,71 +125,6 @@ class TwoPassChecker(Checker):
         return merge_parts(self.name, parts)
 
 
-_REGISTRY: dict[str, Type[Checker]] = {}
-
-#: The pseudo-pack every first-party checker belongs to.  The builtin
-#: registry is "just the default pack": same origin shape, same
-#: provenance surfaces (``mc-check checkers``, report JSON), but wired
-#: in at import time rather than discovered from a ``pack.toml``.
-BUILTIN_PACK = "builtin"
-
-
-@dataclass(frozen=True)
-class CheckerOrigin:
-    """Where a registered checker came from: which pack, which version.
-
-    Folded into cache/journal keys (:func:`repro.mc.cache.checker_fingerprint`)
-    and report provenance, so bumping a pack's version invalidates
-    exactly that pack's entries and every diagnostic can be attributed
-    to the pack that produced it.
-    """
-
-    pack: str
-    version: str
-    #: The implementation file (Python module or ``.metal`` program)
-    #: the checker was loaded from; empty for builtins (their source is
-    #: located through the class itself).
-    source: str = ""
-
-    @property
-    def builtin(self) -> bool:
-        return self.pack == BUILTIN_PACK
-
-    @property
-    def label(self) -> str:
-        return f"{self.pack}@{self.version}"
-
-
-#: Checker name -> origin, for pack-provided checkers.  Builtins are
-#: not stored: :func:`checker_origin` synthesizes their origin so the
-#: builtin registry needs no load-time bookkeeping.
-_ORIGINS: dict[str, CheckerOrigin] = {}
-
-
-def _builtin_origin() -> CheckerOrigin:
-    from .. import __version__
-    return CheckerOrigin(pack=BUILTIN_PACK, version=__version__)
-
-
-def checker_origin(name: str) -> CheckerOrigin:
-    """The :class:`CheckerOrigin` of a registered checker.
-
-    Builtins report the ``builtin`` pseudo-pack at the engine version;
-    unknown names raise ``KeyError`` like :func:`get_checker`.
-    """
-    origin = _ORIGINS.get(name)
-    if origin is not None:
-        return origin
-    if name not in _REGISTRY:
-        raise KeyError(name)
-    return _builtin_origin()
-
-
-def is_pack_checker(name: str) -> bool:
-    """True when ``name`` was provided by a loaded pack (not builtin)."""
-    return name in _ORIGINS
-
-
 def register(cls: Type[Checker]) -> Type[Checker]:
     """Class decorator adding a checker to the global registry."""
     if not cls.name:
@@ -268,9 +178,6 @@ def unregister_pack_checker(name: str) -> None:
         from ..mc.cache import _CHECKER_FP
         _CHECKER_FP.pop(name, None)
 
-
-def checker_names() -> list[str]:
-    return list(_REGISTRY)
 
 def get_checker(name: str) -> Checker:
     try:

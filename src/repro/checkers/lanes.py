@@ -45,19 +45,6 @@ LANES = machine.LANE_COUNT
 _SUMMARY_MEMO = AnalysisMemo()
 
 
-def _call_targets(graph: FlowGraph) -> set[str]:
-    """Every function name the graph's events can invoke (direct call
-    events plus annotation-carried call lists)."""
-    targets: set[str] = set()
-    for node in graph.nodes.values():
-        for i, call in enumerate(node.calls):
-            if call:
-                targets.add(call)
-            ann = node.annotations[i] or {}
-            targets.update(t for t in (ann.get("calls") or ()) if t)
-    return targets
-
-
 def _summary_memo_key(graph: FlowGraph, summaries: dict,
                       cycle_peers: set[str]) -> str:
     """Content key for one ``summarize_lanes`` call: the flow graph's
@@ -66,7 +53,7 @@ def _summary_memo_key(graph: FlowGraph, summaries: dict,
     peer set.  Anything that can change the output changes the key."""
     relevant = sorted(
         (name, repr(summaries.get(name)))
-        for name in _call_targets(graph)
+        for name in graph.callees()
         if name not in cycle_peers
     )
     text = "\n".join((repr(graph), repr(relevant), repr(sorted(cycle_peers))))

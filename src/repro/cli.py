@@ -82,21 +82,18 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .checkers import checker_names, get_checker
 from .errors import ReproError
-from .lang import annotate, parse
-from .mc import (
-    ResultCache,
+from .lang.source import read_source
+from .mc.cache import ResultCache
+from .mc.parallel import check_files, metal_files, resolve_jobs
+from .mc.registry import checker_names
+from .mc.report import format_quarantines, format_reports
+from .mc.supervisor import (
     RunJournal,
     StopFlag,
     SupervisorPolicy,
-    check_files,
     default_runs_dir,
-    format_quarantines,
-    format_reports,
     graceful_shutdown,
-    metal_files,
-    resolve_jobs,
 )
 from .project import Program, read_sources
 
@@ -118,7 +115,7 @@ def _load_program(paths: list[str], spec_path: str | None = None) -> Program:
     info = None
     if spec_path is not None:
         from .flash.spec import parse_spec
-        info = parse_spec(Path(spec_path).read_text(), spec_path)
+        info = parse_spec(read_source(spec_path), spec_path)
     return Program(read_sources(paths), info=info, unit_memo=True)
 
 
@@ -127,7 +124,7 @@ def _policy_from_args(args, stop_flag: StopFlag) -> SupervisorPolicy:
     fault_plan = None
     plan_path = getattr(args, "fault_plan", None)
     if plan_path:
-        from .faults import load_fault_plan
+        from .faults.plan import load_fault_plan
         fault_plan = load_fault_plan(plan_path)
     policy = SupervisorPolicy(stop_flag=stop_flag, fault_plan=fault_plan)
     item_timeout = getattr(args, "item_timeout", None)
@@ -322,7 +319,7 @@ class _Fleet:
 
 
 def _report_doc(run, min_confidence=None) -> dict:
-    from .mc import run_to_json
+    from .mc.report import run_to_json
     return run_to_json(run, min_confidence=min_confidence)
 
 
@@ -381,7 +378,8 @@ def cmd_check(args) -> int:
             frontend=args.frontend, pack_dirs=fleet.pack_dirs,
         )
     fleet.finish(run)
-    from .mc import filter_by_confidence, score_run
+    from .mc.ranking import score_run
+    from .mc.report import filter_by_confidence
     scores = score_run(run)
     failures = 0
     quarantines = []
@@ -521,7 +519,7 @@ def _parse_dispatch(entries, functions: dict) -> dict[int, str]:
 def cmd_simulate(args) -> int:
     from .campaign.runner import _error_property
     from .errors import InterpError, SimulationError
-    from .faults import load_fault_plan
+    from .faults.plan import load_fault_plan
     from .flash.sim import FlashMachine, WorkloadSpec
     from .flash.sim.machine import SimStats
 
@@ -738,12 +736,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .lang.parser import parse
+    from .lang.sema import annotate
     from .lang.unparse import unparse_unit
     from .mc.transform import RedundantWaitEliminator
     eliminator = RedundantWaitEliminator()
     total = 0
     for path in args.files:
-        unit = parse(Path(path).read_text(), path)
+        unit = parse(read_source(path), path)
         annotate(unit)
         removed_here = 0
         for result in eliminator.transform_unit(unit):
@@ -769,7 +769,8 @@ def cmd_tables(args) -> int:
 
 def cmd_paths(args) -> int:
     """Table-1-style size/path statistics for arbitrary C files."""
-    from .cfg import build_cfg, path_stats
+    from .cfg.builder import build_cfg
+    from .cfg.paths import path_stats
     program = _load_program(args.files)
     print(f"{'function':32s} {'paths':>7s} {'avg':>7s} {'max':>6s}")
     total_paths = 0
@@ -818,7 +819,7 @@ def cmd_lint(args) -> int:
     machines a pack run would load.
     """
     from .errors import MetalError
-    from .metal import lint_source
+    from .metal.lint import lint_source
 
     sources: list[tuple[str, str]] = []
     if args.checkers:
@@ -868,7 +869,7 @@ def cmd_checkers(args) -> int:
     default pack) plus every checker of the discovered packs, each with
     the pack name and version that owns it."""
     import json as json_mod
-    from .checkers.base import checker_origin
+    from .checkers.base import checker_origin, get_checker
     from .packs import loaded_packs
 
     _packs_from_args(args)

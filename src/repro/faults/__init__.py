@@ -11,21 +11,13 @@ analysis fleet's own processes via :class:`WorkerFaultInjector`, so the
 supervision layer is tested by the same machinery.
 """
 
-from .injector import FaultInjector
-from .plan import (
-    SIM_SITES,
-    SITES,
-    WORKER_SITES,
-    FaultEvent,
-    FaultPlan,
-    FaultRule,
-    load_fault_plan,
-)
-from .worker import CRASH_EXIT_CODE, WorkerFaultInjector
+from .. import _lazy
 
-__all__ = [
-    "SIM_SITES", "SITES", "WORKER_SITES",
-    "FaultEvent", "FaultPlan", "FaultRule",
-    "FaultInjector", "WorkerFaultInjector", "CRASH_EXIT_CODE",
-    "load_fault_plan",
-]
+_EXPORTS = {
+    "injector": ("FaultInjector",),
+    "plan": ("SIM_SITES", "SITES", "WORKER_SITES", "FaultEvent", "FaultPlan",
+             "FaultRule", "load_fault_plan"),
+    "worker": ("CRASH_EXIT_CODE", "WorkerFaultInjector"),
+}
+__getattr__ = _lazy(__name__, _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

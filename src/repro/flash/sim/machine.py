@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ...errors import InjectedFault, LaneOverflowError, ProtocolDeadlock
-from ...faults import FaultInjector, FaultPlan
+from ...faults.injector import FaultInjector
+from ...faults.plan import FaultPlan
 from ...lang import ast
 from .compiler import CompiledProgram
 from .network import Message

@@ -5,24 +5,20 @@ DESIGN.md: it turns FLASH-style C source into typed ASTs that the CFG
 layer and the metal pattern matcher consume.
 """
 
-from . import ast, ctypes
-from .lexer import Lexer, Token, TokenKind, tokenize
-from .memo import clear_memo, memo_stats, parse_annotated, source_fingerprint
-from .parser import (FRONTEND_MODES, Parser, default_mode, parse,
-                     parse_expression, parse_statement, set_default_mode)
-from .sema import SemaInfo, annotate
-from .source import Location, SourceFile, Span
-from .symtab import Scope, Symbol, SymbolKind
-from .unparse import unparse_decl, unparse_expr, unparse_stmt, unparse_unit
+from .. import _lazy
 
-__all__ = [
-    "ast", "ctypes",
-    "Lexer", "Token", "TokenKind", "tokenize",
-    "Parser", "parse", "parse_expression", "parse_statement",
-    "FRONTEND_MODES", "default_mode", "set_default_mode",
-    "SemaInfo", "annotate",
-    "clear_memo", "memo_stats", "parse_annotated", "source_fingerprint",
-    "Location", "SourceFile", "Span",
-    "Scope", "Symbol", "SymbolKind",
-    "unparse_decl", "unparse_expr", "unparse_stmt", "unparse_unit",
-]
+_EXPORTS = {
+    "lexer": ("Lexer", "Token", "TokenKind", "tokenize"),
+    "parser": ("FRONTEND_MODES", "Parser", "default_mode", "parse",
+               "parse_expression", "parse_statement", "set_default_mode"),
+    "sema": ("SemaInfo", "annotate"),
+    "memo": ("clear_memo", "memo_stats", "parse_annotated"),
+    "source": ("Location", "SourceFile", "Span", "read_source", "read_sources",
+               "source_fingerprint"),
+    "symtab": ("Scope", "Symbol", "SymbolKind"),
+    "unparse": ("unparse_decl", "unparse_expr", "unparse_stmt",
+                "unparse_unit"),
+}
+__getattr__ = _lazy(__name__, _EXPORTS)
+__all__ = ["ast", "ctypes",
+           *(name for names in _EXPORTS.values() for name in names)]

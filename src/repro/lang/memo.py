@@ -18,19 +18,14 @@ Memoized units are shared, mutable ASTs: callers that rewrite trees
 
 from __future__ import annotations
 
-import hashlib
 from typing import Optional
 
 from ..obs.metrics import current_metrics
 from ..obs.trace import current_tracer
 from .parser import default_mode, parse
 from .sema import SemaInfo, annotate
+from .source import source_fingerprint
 from . import ast
-
-
-def source_fingerprint(text: str) -> str:
-    """Stable content hash of one unit's source text."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 _MEMO: dict[tuple, tuple] = {}

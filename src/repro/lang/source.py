@@ -1,4 +1,5 @@
-"""Source-text bookkeeping: files, locations and spans.
+"""Source-text bookkeeping: reading and hashing inputs, files,
+locations and spans.
 
 Everything downstream of the lexer (parser, checkers, diagnostics) refers
 back to positions in the input through these small value types, mirroring
@@ -7,9 +8,47 @@ how xg++ reports errors against the original FLASH source.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Iterable
+
+from ..errors import SourceReadError
+
+
+def read_source(path: str) -> str:
+    """The text of one input file (a translation unit, a protocol spec,
+    a metal checker).
+
+    An unreadable file — missing, a directory, no permission — raises
+    :class:`SourceReadError` carrying the path, so drivers can report
+    *which* input broke (or, inside a fleet worker, quarantine just that
+    work item) instead of leaking a bare ``OSError`` traceback.
+    Non-UTF-8 bytes are decoded permissively, so the tolerant frontend
+    can still run over them (strict mode rejects the byte soup with an
+    ordinary ``LexError``).
+    """
+    try:
+        try:
+            return Path(path).read_text()
+        except UnicodeDecodeError:
+            return Path(path).read_bytes().decode("utf-8", errors="replace")
+    except OSError as exc:
+        raise SourceReadError(
+            f"cannot read source file {path}: {exc}", path=path
+        ) from exc
+
+
+def read_sources(paths: Iterable[str]) -> dict[str, str]:
+    """``{path: text}`` for every path, in order (:func:`read_source`)."""
+    return {path: read_source(path) for path in paths}
+
+
+def source_fingerprint(text: str) -> str:
+    """Stable content hash of one unit's source text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

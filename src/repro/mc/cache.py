@@ -29,11 +29,12 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..lang.source import Location
 from ..metal.runtime import Report, ReportSink
 from ..obs.provenance import provenance_from_obj, provenance_to_obj
+from .registry import _ORIGINS, _REGISTRY, CheckerResult
 from .resilience import Quarantine
 
 #: Bump when the payload shape changes; stale-schema entries are misses.
@@ -62,26 +63,31 @@ def _sha256(*chunks: bytes) -> str:
     return h.hexdigest()
 
 
-def _module_digest(module) -> str:
+#: The ``repro`` package directory: fingerprints hash its files by
+#: path, so computing a key imports nothing.
+_REPRO_DIR = Path(__file__).resolve().parent.parent
+_CHECKERS_DIR = _REPRO_DIR / "checkers"
+
+
+def _file_digest(path: Path) -> str:
     try:
-        path = inspect.getsourcefile(module)
-    except TypeError:
-        path = None
-    if not path or not os.path.exists(path):
-        return f"<no-source:{getattr(module, '__name__', module)!r}>"
-    return _sha256(Path(path).read_bytes())
+        return _sha256(path.read_bytes())
+    except OSError:
+        return f"<no-source:{path.name}>"
+
+
+def _dir_digests(*dirs: Path) -> list[str]:
+    """Digest of every ``*.py`` directly inside each directory, in path
+    order: a fingerprint built from these notices a new module as well
+    as an edited one."""
+    return [_sha256(path.read_bytes())
+            for root in dirs for path in sorted(root.glob("*.py"))]
 
 
 def package_digests(*packages) -> list[str]:
-    """Digest of every ``*.py`` directly inside each package, in path
-    order: a fingerprint built from these notices a new module as well
-    as an edited one."""
-    digests = []
-    for package in packages:
-        root = Path(inspect.getsourcefile(package)).parent
-        for path in sorted(root.glob("*.py")):
-            digests.append(_sha256(path.read_bytes()))
-    return digests
+    """:func:`_dir_digests` of imported packages' directories."""
+    return _dir_digests(*(Path(inspect.getsourcefile(package)).parent
+                          for package in packages))
 
 
 _ENGINE_FILES_FP: Optional[str] = None
@@ -93,31 +99,72 @@ def engine_fingerprint() -> str:
     Covers the frontend (lexer/parser/sema), CFG construction, the metal
     pattern matcher and state machines, the path-sensitive engine, and
     the built-in FLASH knowledge (headers, machine vocabulary, spec
-    parsing).  Combined with ``repro.__version__`` on every call so a
-    version bump invalidates even without a source change.
+    parsing).  ``repro.obs`` is included because the provenance trails
+    it builds are part of the cached payloads.  Combined with
+    ``repro.__version__`` on every call so a version bump invalidates
+    even without a source change.
     """
     global _ENGINE_FILES_FP
     if _ENGINE_FILES_FP is None:
-        import repro.cfg
-        import repro.lang
-        import repro.metal
-        import repro.mc
-        import repro.obs
-        import repro.project
-        from repro.flash import headers, machine, spec
-
-        # repro.obs is included because provenance trails it builds are
-        # part of the cached payloads.
-        digests = package_digests(repro.lang, repro.cfg, repro.metal,
-                                  repro.mc, repro.obs)
-        for module in (repro.project, headers, machine, spec):
-            digests.append(_module_digest(module))
+        digests = _dir_digests(*(_REPRO_DIR / name for name in
+                                 ("lang", "cfg", "metal", "mc", "obs")))
+        for rel in ("project.py", "flash/headers.py", "flash/machine.py",
+                    "flash/spec.py"):
+            digests.append(_file_digest(_REPRO_DIR / rel))
         _ENGINE_FILES_FP = _sha256(*(d.encode() for d in digests))
     import repro
     return _sha256(_ENGINE_FILES_FP.encode(), repro.__version__.encode())
 
 
+class BuiltinChecker(NamedTuple):
+    """One row of :data:`BUILTIN_CHECKERS`."""
+
+    name: str
+    #: How the fleet schedules it (:func:`repro.mc.registry.checker_shape`).
+    shape: str
+    #: Its module file under ``repro/checkers``.
+    module: str
+
+
+#: Every builtin checker, in registration order, for runs that never
+#: import :mod:`repro.checkers` (every item a cache hit).
+#: ``tests/test_checker_table.py`` pins it to the registry.
+BUILTIN_CHECKERS = (
+    BuiltinChecker("buffer-race", "unit", "buffer_race.py"),
+    BuiltinChecker("msg-length", "unit", "msg_length.py"),
+    BuiltinChecker("buffer-mgmt", "unit", "buffer_mgmt.py"),
+    BuiltinChecker("lanes", "link", "lanes.py"),
+    BuiltinChecker("exec-restrict", "link", "exec_restrict.py"),
+    BuiltinChecker("no-float", "unit", "exec_restrict.py"),
+    BuiltinChecker("alloc-fail", "unit", "alloc_fail.py"),
+    BuiltinChecker("directory", "unit", "directory.py"),
+    BuiltinChecker("send-wait", "unit", "send_wait.py"),
+    BuiltinChecker("table-audit", "unit", "table_audit.py"),
+)
+_BUILTIN_BY_NAME = {row.name: row for row in BUILTIN_CHECKERS}
+
+
+def builtin_checker(name: str) -> Optional[BuiltinChecker]:
+    """The :data:`BUILTIN_CHECKERS` row named ``name``, or ``None``."""
+    return _BUILTIN_BY_NAME.get(name)
+
+
 _CHECKER_FP: dict[str, Optional[str]] = {}
+
+
+def _checker_source(name: str) -> Optional[Path]:
+    """The file a registered checker's class is defined in: through the
+    class once the registry holds it, else from the builtin table."""
+    cls = _REGISTRY.get(name)
+    if cls is None:
+        row = None if _REGISTRY else builtin_checker(name)
+        return _CHECKERS_DIR / row.module if row is not None else None
+    try:
+        path = inspect.getsourcefile(cls)
+    except (OSError, TypeError):
+        # No source on disk (python -c, REPL): uncacheable.
+        return None
+    return Path(path) if path else None
 
 
 def checker_fingerprint(name: str) -> Optional[str]:
@@ -127,18 +174,15 @@ def checker_fingerprint(name: str) -> Optional[str]:
     located (e.g. defined in a ``python -c`` script or a REPL), so there
     is no way to notice when it changes.  The framework (``base.py``)
     and the shared metal listings are folded in: they are part of every
-    checker's behaviour.
+    checker's behaviour.  A builtin hashes the same file whether it is
+    found through its class or through :data:`BUILTIN_CHECKERS`, so the
+    key does not depend on what the process has imported.
     """
     if name in _CHECKER_FP:
         return _CHECKER_FP[name]
-    from ..checkers import base as checkers_base
-    from ..checkers import metal_sources
-    from ..checkers.base import _ORIGINS, _REGISTRY
-
-    cls = _REGISTRY.get(name)
     fp: Optional[str] = None
     origin = _ORIGINS.get(name)
-    if cls is not None and origin is not None:
+    if origin is not None:
         # Pack checkers key on the pack's identity (name@version) plus
         # the implementation file the manifest named — not on the class
         # object, which for metal packs is synthesized inside the
@@ -147,27 +191,21 @@ def checker_fingerprint(name: str) -> Optional[str]:
         # keys are untouched, keeping no-pack and with-pack runs on the
         # same cache lines.
         source = Path(origin.source) if origin.source else None
-        if source is not None and source.exists():
+        if name in _REGISTRY and source is not None and source.exists():
             fp = _sha256(
                 name.encode(),
                 origin.label.encode(),
                 source.read_bytes(),
-                _module_digest(checkers_base).encode(),
+                _file_digest(_CHECKERS_DIR / "base.py").encode(),
             )
-        _CHECKER_FP[name] = fp
-        return fp
-    if cls is not None:
-        try:
-            path = inspect.getsourcefile(cls)
-        except (OSError, TypeError):
-            # No source on disk (python -c, REPL): uncacheable.
-            path = None
-        if path and os.path.exists(path):
+    else:
+        path = _checker_source(name)
+        if path is not None and path.exists():
             fp = _sha256(
                 name.encode(),
-                Path(path).read_bytes(),
-                _module_digest(checkers_base).encode(),
-                _module_digest(metal_sources).encode(),
+                path.read_bytes(),
+                _file_digest(_CHECKERS_DIR / "base.py").encode(),
+                _file_digest(_CHECKERS_DIR / "metal_sources.py").encode(),
             )
     _CHECKER_FP[name] = fp
     return fp
@@ -231,8 +269,8 @@ def quarantine_from_obj(obj: dict) -> Quarantine:
     )
 
 
-def result_to_payload(result) -> dict:
-    """Serialise a :class:`repro.checkers.base.CheckerResult` to JSON-able
+def result_to_payload(result: CheckerResult) -> dict:
+    """Serialise a :class:`repro.mc.registry.CheckerResult` to JSON-able
     data; a two-pass checker's unit part also carries its ``facts``."""
     payload = {
         "schema": SCHEMA_VERSION,
@@ -253,9 +291,7 @@ def result_to_payload(result) -> dict:
     return payload
 
 
-def result_from_payload(payload: dict):
-    from ..checkers.base import CheckerResult
-
+def result_from_payload(payload: dict) -> CheckerResult:
     result = CheckerResult(checker=payload["checker"])
     result.reports = [report_from_obj(o) for o in payload["reports"]]
     result.applied = payload["applied"]

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..cfg import Cfg, build_cfg
+from ..cfg.builder import build_cfg
+from ..cfg.graph import Cfg
 from ..lang import ast
 from ..lang.source import Location
 from ..metal.runtime import MatchContext, ReportSink

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..cfg import Cfg
+from ..cfg.graph import Cfg
 from ..lang import ast
 
 NodePredicate = Callable[[ast.Node], bool]

@@ -23,10 +23,12 @@ def bottom_up(
     """Compute a summary per function, callees first.
 
     ``summarize(flowgraph, summaries, cycle_peers)`` receives the
-    already-computed summaries of every callee outside the function's own
-    SCC, plus the names of functions in the same SCC (``cycle_peers``),
-    which the client must treat as fixed points (paper §7: cycles that do
-    not send can be ignored; cycles that send are flagged).
+    summaries of exactly the function's callees outside its own SCC,
+    plus the names of functions in the same SCC (``cycle_peers``),
+    which the client must treat as fixed points (paper §7: cycles that
+    do not send can be ignored; cycles that send are flagged).  The
+    SCCs are visited callees first, and the members of one SCC in name
+    order.
 
     A ``summarize`` whose result is pure in those three inputs can be
     memoized across runs with :class:`repro.mc.cache.AnalysisMemo` —
@@ -34,21 +36,16 @@ def bottom_up(
     (see the lanes checker) and keep any report emission *outside* the
     memoized computation, since reports are per-run state.
     """
-    import networkx as nx
-
-    condensation = nx.condensation(callgraph.nx)
     summaries: dict[str, Summary] = {}
-    for scc_id in reversed(list(nx.topological_sort(condensation))):
-        members: set[str] = set(condensation.nodes[scc_id]["members"])
-        in_cycle = len(members) > 1 or any(
-            callgraph.nx.has_edge(m, m) for m in members
-        )
-        for name in sorted(members):
-            graph = callgraph.graphs.get(name)
-            if graph is None:
-                continue
-            peers = members if in_cycle else set()
-            summaries[name] = summarize(graph, summaries, peers)
+    for component in callgraph.sccs():
+        members = set(component)
+        peers = members if callgraph.in_cycle(component) else set()
+        for name in sorted(component):
+            callees = {callee: summaries[callee]
+                       for callee in callgraph.edges[name]
+                       if callee not in members}
+            summaries[name] = summarize(callgraph.graphs[name], callees,
+                                        peers)
     return summaries
 
 

@@ -39,12 +39,10 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import SourceError, SourceReadError
-from ..faults.plan import FaultPlan
-from ..lang import parser as lang_parser
-from ..lang.memo import parse_annotated, source_fingerprint
+from ..lang.source import read_source, read_sources, source_fingerprint
 from ..metal.runtime import Report, ReportSink
 from .cache import (
     SCHEMA_VERSION,
@@ -61,9 +59,17 @@ from .cache import (
     sink_to_payload,
     work_item_key,
 )
-from .engine import check_unit
+from .registry import (
+    CheckerResult,
+    checker_names,
+    checker_shape,
+    is_pack_checker,
+)
 from .resilience import Budget, Quarantine
 from .supervisor import RunJournal, RunStats, SupervisorPolicy
+
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
 
 
 def resolve_jobs(value) -> int:
@@ -166,9 +172,10 @@ def _init_worker(config: WorkerConfig) -> None:
     # workers alike (the supervisor's _worker_main calls _init_worker
     # too).  The frontend mode travels the same way: every parse in the
     # worker — including the memoized ones — honours ``--frontend``.
+    from ..lang import parser
     from . import feasibility
     feasibility.set_default_enabled(config.feasibility)
-    lang_parser.set_default_mode(config.frontend)
+    parser.set_default_mode(config.frontend)
     if config.pack_dirs:
         from ..packs import load_packs
         load_packs(Path(d) for d in config.pack_dirs)
@@ -236,7 +243,6 @@ def _skipped_payload(item: WorkItem, config: WorkerConfig,
         return {"schema": SCHEMA_VERSION, "shard": item.index,
                 "degraded": True, "outcomes": [],
                 "degradation_notes": [f"[{label}] {note}"]}
-    from ..checkers.base import CheckerResult
     result = CheckerResult(checker=label, degraded=True)
     result.degradation_notes.append(f"[{label}] {where}: {note}")
     return result_to_payload(result)
@@ -263,7 +269,6 @@ def _quarantine_payload(item: WorkItem, config: WorkerConfig,
         sink.add_quarantine(quarantine)
         sink.degradation_notes.append(f"[{label}] {where}: {message}")
         return sink_to_payload(sink)
-    from ..checkers.base import CheckerResult
     result = CheckerResult(checker=label, degraded=True)
     result.quarantines.append(quarantine)
     result.degradation_notes.append(f"[{label}] {where}: {message}")
@@ -295,7 +300,6 @@ def _guarded(name: str, config: WorkerConfig, run):
     raising becomes Quarantine(phase="pack") on that pack's result,
     never a crashed worker or a failed fleet.  Builtins keep the opt-in
     keep_going contract."""
-    from ..checkers.base import CheckerResult, is_pack_checker
     try:
         return run()
     except Exception as exc:
@@ -313,7 +317,7 @@ def _guarded(name: str, config: WorkerConfig, run):
 
 def _run_checker_item(item: WorkItem, config: WorkerConfig) -> dict:
     from ..checkers.base import get_checker
-    from ..project import Program, read_sources
+    from ..project import Program
 
     name = item.checker
     if _past_deadline(config):
@@ -358,7 +362,7 @@ def _link_payload(item: WorkItem, config: WorkerConfig,
     unit order.  A part without facts never completed (skipped,
     poisoned, crashed): then the result is degraded and has no reports,
     as a whole-program item that never ran would be."""
-    from ..checkers.base import CheckerResult, Parts, get_checker
+    from ..checkers.base import Parts, get_checker
     from ..project import ProtocolInfo
 
     name = item.checker
@@ -388,7 +392,8 @@ def _item_budget(config: WorkerConfig) -> Optional[Budget]:
 
 def _run_metal_item(item: WorkItem, config: WorkerConfig,
                     shared_budget: Optional[Budget] = None) -> dict:
-    from ..project import read_sources
+    from ..lang.memo import parse_annotated
+    from .engine import check_unit
 
     path = item.paths[0]
     if _past_deadline(config):
@@ -509,6 +514,22 @@ def _observed(item: WorkItem, config: WorkerConfig, execute) -> dict:
 
 # -- parent side -------------------------------------------------------------
 
+def _load_analysis(items: list, config: WorkerConfig) -> None:
+    """Import what executing ``items`` runs, here in the parent, before
+    any item runs inline or a worker forks: the workers then inherit
+    these modules instead of each importing them.  A run whose every
+    item resolved from the store has no item to run, so it imports no
+    frontend, engine or checker."""
+    kinds = {item.kind for item in items}
+    if kinds & {"checker", "local", "link"}:
+        from .. import checkers  # noqa: F401 (registers every builtin)
+        if config.spec_text:
+            from ..flash import spec  # noqa: F401
+    if kinds & {"checker", "local", "metal"}:
+        from ..lang import memo  # noqa: F401 (the parser and sema)
+        from . import engine  # noqa: F401
+
+
 def _mp_context():
     import multiprocessing as mp
     try:
@@ -590,6 +611,7 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
         elif cache is not None:
             cache.put(key, payload)
 
+    _load_analysis(pending + to_link, config)
     shared_budget: Optional[Budget] = None
     progress = observation.progress if observation is not None else None
     if observation is not None:
@@ -600,12 +622,13 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
 
     def run_inline() -> None:
         nonlocal shared_budget
+        from ..lang import parser
         from . import feasibility
         # Inline execution runs in the caller's process: restore the
         # caller's feasibility/frontend defaults afterwards so a library
         # user mixing runs is not left with flipped globals.
         previous_feasibility = feasibility.default_enabled()
-        previous_mode = lang_parser.default_mode()
+        previous_mode = parser.default_mode()
         _init_worker(config)
         # Serial runs share one Budget across every item.
         shared_budget = _item_budget(config)
@@ -631,7 +654,7 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
                     progress.tick(stats)
         finally:
             feasibility.set_default_enabled(previous_feasibility)
-            lang_parser.set_default_mode(previous_mode)
+            parser.set_default_mode(previous_mode)
         if progress is not None:
             progress.finish(stats)
 
@@ -686,8 +709,6 @@ def merge_parts(checker: str, parts: list):
     ``(file, line, column, checker)``, so the merge of any partition of
     the work equals the serial result.
     """
-    from ..checkers.base import CheckerResult
-
     merged = CheckerResult(checker=checker)
     seen_reports: set[tuple] = set()
     seen_quarantines: set[tuple] = set()
@@ -808,12 +829,9 @@ def check_files(paths: list, *, names: Optional[list] = None,
     (``--frontend strict|tolerant``).  Both are part of every store
     key, so runs with different settings never share entries.
     """
-    from ..checkers.base import TwoPassChecker, checker_names, get_checker
-    from ..project import read_sources
-
     ordered_paths = list(dict.fromkeys(paths))
     sources = read_sources(ordered_paths)
-    spec_text = Path(spec_path).read_text() if spec_path else None
+    spec_text = read_source(spec_path) if spec_path else None
     selected = list(names) if names is not None else checker_names()
 
     config = WorkerConfig(
@@ -841,10 +859,10 @@ def check_files(paths: list, *, names: Optional[list] = None,
     items: list[WorkItem] = []
     parts_of: dict[str, list[int]] = {}
     for name in selected:
-        checker = get_checker(name)
-        if isinstance(checker, TwoPassChecker):
+        shape = checker_shape(name)
+        if shape == "link":
             kind, units = "link", [tuple(ordered_paths)]
-        elif checker.unit_parallel:
+        elif shape == "unit":
             kind, units = "checker", [(path,) for path in ordered_paths]
         else:
             kind, units = "checker", [tuple(ordered_paths)]
@@ -936,9 +954,8 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
     budget the original run never gave them.
     """
     from ..metal.parser import parse_metal
-    from ..project import read_sources
 
-    metal_text = Path(metal_path).read_text()
+    metal_text = read_source(metal_path)
     sm = parse_metal(metal_text, filename=metal_path)  # validate up front
 
     if budget_steps is not None or budget_seconds is not None:

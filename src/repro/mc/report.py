@@ -9,6 +9,7 @@ lane checker printed "precise textual back traces".
 from __future__ import annotations
 
 from ..metal.runtime import Report, ReportSink
+from .registry import checker_origin
 from .resilience import Budget, Quarantine
 
 __all__ = [
@@ -160,7 +161,7 @@ def report_to_json_obj(report: Report, provenance=None,
     diagnostics carry none).  ``confidence`` is the
     z-ranking score (:mod:`repro.mc.ranking`), computed from the merged
     run — never cached — so it too is cache-state independent.
-    ``origin`` (a :class:`repro.checkers.base.CheckerOrigin`) attributes
+    ``origin`` (a :class:`repro.mc.registry.CheckerOrigin`) attributes
     the report to the checker pack that produced it.
     """
     from ..obs.provenance import report_id
@@ -189,8 +190,6 @@ def report_to_json_obj(report: Report, provenance=None,
 def _part_origin(part):
     """The :class:`CheckerOrigin` of one merged result, or ``None`` for
     parts that are not registered checkers (textual metal sinks)."""
-    from ..checkers.base import checker_origin
-
     name = getattr(part, "checker", "")
     if not name:
         return None

@@ -50,11 +50,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import ReproError, WorkerFailure
-from ..faults.plan import FaultPlan
 from .cache import ResultCache
+
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
 
 #: Journal schema; bump when the record shape changes.
 #: v2: header carries the run's configuration (engine/feasibility/

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cfg import Cfg, build_cfg
+from ..cfg.builder import build_cfg
+from ..cfg.graph import Cfg
 from ..lang import ast
 
 WAIT = "WAIT_FOR_DB_FULL"

@@ -1,15 +1,14 @@
 """The metal language: patterns, state machines, and the textual parser."""
 
-from .lint import LintFinding, lint_machine, lint_source
-from .parser import MetalParser, parse_metal
-from .patterns import MetaVar, Pattern, compile_pattern
-from .runtime import MatchContext, Report, ReportSink
-from .sm import ALL, STOP, Action, Rule, State, StateMachine, StepResult
+from .. import _lazy
 
-__all__ = [
-    "MetalParser", "parse_metal",
-    "MetaVar", "Pattern", "compile_pattern",
-    "MatchContext", "Report", "ReportSink",
-    "ALL", "STOP", "Action", "Rule", "State", "StateMachine", "StepResult",
-    "LintFinding", "lint_machine", "lint_source",
-]
+_EXPORTS = {
+    "lint": ("LintFinding", "lint_machine", "lint_source"),
+    "parser": ("MetalParser", "parse_metal"),
+    "patterns": ("MetaVar", "Pattern", "compile_pattern"),
+    "runtime": ("MatchContext", "Report", "ReportSink"),
+    "sm": ("ALL", "STOP", "Action", "Rule", "State", "StateMachine",
+           "StepResult"),
+}
+__getattr__ = _lazy(__name__, _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

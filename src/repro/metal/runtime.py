@@ -9,12 +9,13 @@ pattern's wildcard variables, and the enclosing function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
-from ..lang import ast
 from ..lang.source import Location, unknown_location
-from ..lang.unparse import unparse_expr
+
+if TYPE_CHECKING:
+    from ..lang import ast
 
 
 @dataclass(frozen=True)
@@ -185,6 +186,9 @@ class MatchContext:
 
     def binding_text(self, name: str) -> str:
         """Render a bound wildcard variable back to C text."""
+        from ..lang import ast
+        from ..lang.unparse import unparse_expr
+
         node = self.bindings.get(name)
         if node is None:
             return f"<{name}?>"

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from ..checkers.base import (
-    Checker,
-    CheckerOrigin,
-    register_pack_checker,
-    unregister_pack_checker,
-)
+from ..mc.registry import CheckerOrigin
 from .manifest import MANIFEST_NAME, PackError, PackManifest, load_manifest
 
 __all__ = [
@@ -92,6 +87,7 @@ def clear_packs() -> None:
 
 
 def _unload(pack: LoadedPack) -> None:
+    from ..checkers.base import unregister_pack_checker
     for name in pack.checkers:
         unregister_pack_checker(name)
 
@@ -181,7 +177,13 @@ def load_packs(dirs: Iterable) -> list[LoadedPack]:
 
 
 def load_pack(pack_dir) -> LoadedPack:
-    """Load one pack directory (manifest, modules, lint, registration)."""
+    """Load one pack directory (manifest, modules, lint, registration).
+
+    Importing the checkers here registers every builtin first, so the
+    registry a run consults from then on holds the builtins and the
+    packs, in that order.
+    """
+    from ..checkers.base import unregister_pack_checker
     manifest = load_manifest(pack_dir)
     previous = _LOADED.get(manifest.name)
     if previous is not None:
@@ -226,6 +228,11 @@ def load_pack(pack_dir) -> LoadedPack:
 def _load_python_module(manifest: PackManifest, rel: str,
                         origin: CheckerOrigin) -> list[str]:
     """Import one pack module and register its checker classes."""
+    from ..checkers.base import (
+        Checker,
+        register_pack_checker,
+        unregister_pack_checker,
+    )
     path = manifest.root / rel
     module_name = (f"repro_packs.{manifest.name.replace('-', '_')}"
                    f".{path.stem}")
@@ -271,8 +278,9 @@ def _load_metal_checker(manifest: PackManifest, rel: str,
     unreachable state, dead rule) is refused before it can produce
     silently-wrong results in a fleet.
     """
+    from ..checkers.base import Checker, register_pack_checker
     from ..errors import MetalError
-    from ..metal import lint_machine
+    from ..metal.lint import lint_machine
     from ..metal.parser import parse_metal
 
     path = manifest.root / rel

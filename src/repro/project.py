@@ -13,46 +13,17 @@ with the parsed and type-annotated translation units and caches CFGs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
-from .cfg import CallGraph, Cfg, build_cfg
-from .errors import SourceReadError
 from .flash.headers import FLASH_INCLUDES, FLASH_INCLUDES_NAME
-from .lang import annotate, ast, parse, parse_annotated
 from .flash.machine import LANE_COUNT
+from .lang.source import read_sources  # noqa: F401 (re-exported)
 from .mc.cache import seed_fingerprints
 
-
-def read_sources(paths: Iterable[str]) -> dict[str, str]:
-    """Read translation-unit sources, surfacing failures structurally.
-
-    An unreadable file raises :class:`SourceReadError` carrying the
-    path, so drivers can report *which* input broke (or, inside a fleet
-    worker, quarantine just that work item) instead of leaking a bare
-    ``OSError`` traceback.
-    """
-    sources: dict[str, str] = {}
-    for path in paths:
-        try:
-            sources[path] = Path(path).read_text()
-        except UnicodeDecodeError:
-            # Binary / non-UTF-8 input.  Decode permissively so the
-            # tolerant frontend can still run over it (strict mode will
-            # reject the resulting byte soup with an ordinary LexError
-            # rather than an internal traceback).
-            try:
-                sources[path] = Path(path).read_bytes().decode(
-                    "utf-8", errors="replace")
-            except OSError as exc:
-                raise SourceReadError(
-                    f"cannot read source file {path}: {exc}", path=path
-                ) from exc
-        except OSError as exc:
-            raise SourceReadError(
-                f"cannot read source file {path}: {exc}", path=path
-            ) from exc
-    return sources
+if TYPE_CHECKING:
+    from .cfg.callgraph import CallGraph
+    from .cfg.graph import Cfg
+    from .lang import ast
 
 
 @dataclass(frozen=True)
@@ -132,11 +103,17 @@ class Program:
 
     The FLASH header (:data:`repro.flash.headers.FLASH_INCLUDES`) is
     parsed separately and fed to sema as a prelude, so every diagnostic
-    keeps the protocol file's own line numbers.
+    keeps the protocol file's own line numbers.  The frontend and the
+    CFG layer are imported when a program is built, not with this
+    module, which a run whose every item is a cache hit imports too.
     """
 
     def __init__(self, files: dict[str, str], info: Optional[ProtocolInfo] = None,
                  include_flash_header: bool = True, unit_memo: bool = False):
+        from .lang.memo import parse_annotated
+        from .lang.parser import parse
+        from .lang.sema import annotate
+
         self.info = info if info is not None else ProtocolInfo()
         self.sources: dict[str, str] = dict(files)
         self.units: dict[str, ast.TranslationUnit] = {}
@@ -189,6 +166,7 @@ class Program:
         cached = self._cfgs.get(function.name)
         if cached is not None and cached.function is function:
             return cached
+        from .cfg.builder import build_cfg
         if self._unit_memo:
             # Memoized units share function ASTs across Programs (one
             # per (checker, unit) work item); pinning the CFG on the
@@ -218,6 +196,7 @@ class Program:
         cached = self._calls.get(function.name)
         if cached is not None and cached[0] is function:
             return cached[1]
+        from .lang import ast
         from .mc.summary import event_index
         index = event_index(self.cfg(function))
         calls = tuple(node for entry in index.values()
@@ -228,6 +207,7 @@ class Program:
     @property
     def callgraph(self) -> CallGraph:
         if self._callgraph is None:
+            from .cfg.callgraph import CallGraph
             self._callgraph = CallGraph.from_cfgs(self.cfgs())
         return self._callgraph
 

@@ -524,10 +524,14 @@ class TestCampaignParsesOnce:
                 "--runs", "4", "--shard-size", "2", "--campaign-seed", "7",
                 "--jobs", "1", "--no-cache", "--format", "json"]
 
+        real_parse = parser.parse
+
         def campaign():
             clear_memo()
-            with mock.patch("repro.project.parse", wraps=parser.parse) as a, \
-                    mock.patch("repro.lang.memo.parse", wraps=parser.parse) as b:
+            with mock.patch("repro.lang.parser.parse",
+                            wraps=real_parse) as a, \
+                    mock.patch("repro.lang.memo.parse",
+                               wraps=real_parse) as b:
                 code = cli.main(argv)
             return code, capsys.readouterr().out, a.call_count + b.call_count
 

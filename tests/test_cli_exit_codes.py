@@ -202,8 +202,10 @@ class TestMetalExitCodes:
         assert "DEGRADED" in proc.stdout
 
     def test_missing_metal_file_exits_two(self, clean_c, tmp_path):
-        proc = run_cli("metal", str(tmp_path / "nope.metal"), clean_c)
-        assert proc.returncode != 0   # FileNotFoundError (traceback)
+        proc = run_cli("metal", str(tmp_path / "nope.metal"), clean_c,
+                       "--no-cache")
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "internal error" in proc.stderr
 
 
 class TestSimulateExitCodes:
@@ -420,3 +422,33 @@ class TestNumericFlagRanges:
         # The edge of the range stays valid.
         args = build_parser().parse_args([command, *inputs, flag, boundary])
         assert getattr(args, flag[2:].replace("-", "_")) == float(boundary)
+
+
+class TestUnreadableInputs:
+    """A spec, metal program or transform input that cannot be read is
+    a structured internal error — one ``cannot read`` line on stderr,
+    nothing on stdout, exit 2 — as an unreadable translation unit is,
+    not a traceback with exit 1 ("bugs found")."""
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--spec", "{missing}", "{c}"),
+        ("check", "--spec", "{directory}", "{c}"),
+        ("campaign", "--spec", "{missing}", "{c}"),
+        ("metal", "{missing}", "{c}"),
+        ("metal", "{directory}", "{c}"),
+        ("transform", "{missing}"),
+        ("transform", "{directory}"),
+    ], ids=["check-spec-missing", "check-spec-directory",
+            "campaign-spec-missing", "metal-missing", "metal-directory",
+            "transform-missing", "transform-directory"])
+    def test_unreadable_input_exits_two(self, argv, racy_c, tmp_path):
+        names = {"missing": str(tmp_path / "nope.input"),
+                 "directory": str(tmp_path), "c": racy_c}
+        argv = [arg.format(**names) for arg in argv]
+        if argv[0] != "transform":
+            argv.append("--no-cache")
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "mc-check: internal error: cannot read" in proc.stderr
+        assert proc.stdout == ""

@@ -296,12 +296,14 @@ class TestLinkedChecks:
                 "--spec", "cross.spec", "--format", "json", "--jobs", "1"]
         cached = ["--cache-dir", str(tmp_path / "cache")]
 
+        real_parse = parser.parse
+
         def check(*extra):
             clear_memo()
-            with mock.patch("repro.project.parse",
-                            wraps=parser.parse) as a, \
+            with mock.patch("repro.lang.parser.parse",
+                            wraps=real_parse) as a, \
                     mock.patch("repro.lang.memo.parse",
-                               wraps=parser.parse) as b:
+                               wraps=real_parse) as b:
                 code = cli.main([*argv, *extra])
             messages = capsys.readouterr().out
             return code, messages, a.call_count + b.call_count

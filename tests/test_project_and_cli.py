@@ -1,5 +1,6 @@
 """Program/ProtocolInfo model and CLI tests."""
 
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +15,49 @@ from repro.project import (
     ProtocolInfo,
     program_from_source,
 )
+
+
+#: Modules a warm no-op ``check`` and ``--version`` must not import.
+_ANALYSIS_MODULES = {
+    *(f"repro.lang.{m}" for m in ("lexer", "parser", "sema", "ast",
+                                   "ctypes", "symtab", "unparse")),
+    *(f"repro.mc.{m}" for m in ("engine", "summary", "feasibility",
+                                 "interproc", "flowcheck", "transform")),
+    *(f"repro.metal.{m}" for m in ("parser", "patterns", "sm", "lint")),
+}
+#: Packages none of whose modules they may import.
+_ANALYSIS_PACKAGES = ("repro.cfg", "repro.checkers", "repro.flash.sim",
+                      "repro.campaign", "networkx")
+
+
+def _is_analysis(module: str) -> bool:
+    return module in _ANALYSIS_MODULES or any(
+        module == p or module.startswith(p + ".") for p in _ANALYSIS_PACKAGES)
+
+
+def _run_probe(probe: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _run_and_list_modules(argv) -> tuple:
+    """``mc-check argv`` in a fresh interpreter: its exit code, every
+    module it imported, and its stdout."""
+    probe = ("import json, sys\n"
+             "from repro.cli import main\n"
+             "try:\n"
+             f"    code = main({argv!r})\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
+             "print(json.dumps([code, sorted(sys.modules)]))\n")
+    proc = _run_probe(probe)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *out, last = proc.stdout.splitlines()
+    code, modules = json.loads(last)
+    return code, modules, "\n".join(out)
 
 
 class TestHandlerInfo:
@@ -190,8 +234,10 @@ void b(void) { h(); }
         assert code == 1
 
     def test_warm_noop_check_does_not_import_networkx(self, tmp_path, capsys):
-        # networkx is imported where a call graph is built; a check whose
-        # every item is a cache hit builds none, so start-up skips it.
+        # A check whose every item is a cache hit reads and hashes the
+        # sources, looks up the keys, ranks, renders and records the
+        # run: it imports no frontend, CFG, engine, metal compiler,
+        # checker, simulator or networkx, and neither does --version.
         f = tmp_path / "clean.c"
         f.write_text("""
 void util(void) {
@@ -202,14 +248,40 @@ void util(void) {
         argv = ["check", str(f), "--cache-dir", str(tmp_path / "cache")]
         assert main(argv) == 0  # cold: fills the cache
         capsys.readouterr()
-        probe = ("import sys\n"
+        for args in (["--version"], [*argv, "--jobs", "1"],
+                     [*argv, "--jobs", "2"]):
+            code, modules, out = _run_and_list_modules(args)
+            if args != ["--version"]:
+                assert code == 0 and " 0 miss" in out, out
+            assert [m for m in modules if _is_analysis(m)] == [], args
+
+    def test_cold_parallel_check_imports_the_analysis_before_forking(
+            self, tmp_path):
+        # On a miss the parent imports the checkers, engine and frontend
+        # before the supervised pool forks, so the workers inherit them
+        # instead of each importing them.
+        from repro.mc.cache import BUILTIN_CHECKERS
+        files = []
+        for name in ("a.c", "b.c"):
+            path = tmp_path / name
+            path.write_text("void util(void) { SUBROUTINE_PROLOGUE(); }\n")
+            files.append(str(path))
+        argv = ["check", *files, "--no-cache", "--jobs", "2"]
+        probe = ("import json, sys\n"
+                 "from repro.mc import supervisor\n"
                  "from repro.cli import main\n"
+                 "seen = []\n"
+                 "original = supervisor.supervise_items\n"
+                 "def entered(*args, **kwargs):\n"
+                 "    seen.append(sorted(sys.modules))\n"
+                 "    return original(*args, **kwargs)\n"
+                 "supervisor.supervise_items = entered\n"
                  f"code = main({argv!r})\n"
-                 "print(code, 'networkx' in sys.modules)\n")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert " 0 miss" in proc.stdout, proc.stdout + proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout
+                 "print(json.dumps([code, seen]))\n")
+        proc = _run_probe(probe)
+        code, seen = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0 and len(seen) == 1, proc.stdout + proc.stderr
+        expected = {"repro.mc.engine", "repro.lang.parser", "repro.lang.sema"}
+        expected |= {f"repro.checkers.{row.module[:-3]}"
+                     for row in BUILTIN_CHECKERS}
+        assert expected <= set(seen[0])
