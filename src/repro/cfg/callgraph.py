@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from ..lang import ast
+from ..mc.summary import event_calls, event_index
 from .graph import Cfg
 
 
@@ -100,21 +100,14 @@ class FlowGraph:
         return graph
 
 
-def _call_targets(event: ast.Node) -> list[str]:
-    """All direct-call target names inside one event, in source order."""
-    return [
-        node.callee_name
-        for node in event.walk()
-        if isinstance(node, ast.Call) and node.callee_name is not None
-    ]
-
-
 def emit_flowgraph(cfg: Cfg, annotate=None, filename: str = "") -> FlowGraph:
     """Emit ``cfg`` as an annotated flow graph.
 
-    ``annotate`` is the client hook: called as ``annotate(event)`` for each
-    event and may return a JSON-able dict to attach (the lane checker
-    attaches ``{"sends": [lane, ...]}``), or None.
+    ``annotate`` is the client hook: called as ``annotate(calls)`` with
+    each event's ``Call`` nodes, in walk order (read from
+    :func:`repro.mc.summary.event_index`), and may return a JSON-able
+    dict to attach (the lane checker attaches ``{"sends": [lane, ...]}``),
+    or None.
     """
     graph = FlowGraph(
         function=cfg.name,
@@ -122,10 +115,13 @@ def emit_flowgraph(cfg: Cfg, annotate=None, filename: str = "") -> FlowGraph:
         entry=cfg.entry.index,
         exit=cfg.exit.index,
     )
+    index = event_index(cfg)
     for block in cfg.blocks:
         node = FlowNode(index=block.index)
         for event in block.events:
-            targets = _call_targets(event)
+            calls = event_calls(index[id(event)])
+            targets = [call.callee_name for call in calls
+                       if call.callee_name is not None]
             node.calls.append(targets[0] if len(targets) == 1 else None)
             if len(targets) > 1:
                 # Multiple calls in one event: keep them all via annotation.
@@ -133,7 +129,7 @@ def emit_flowgraph(cfg: Cfg, annotate=None, filename: str = "") -> FlowGraph:
             else:
                 node.annotations.append(None)
             if annotate is not None:
-                extra = annotate(event)
+                extra = annotate(calls)
                 if extra is not None:
                     merged = node.annotations[-1] or {}
                     merged.update(extra)

@@ -66,29 +66,27 @@ def _first_call_stmts(function: ast.FunctionDef) -> list[str]:
 
 
 class _Body:
-    """What the rules need from one function body, gathered in one walk."""
+    """What the rules need from one function body, read from its
+    :class:`repro.lang.ast.NodeIndex` (each list in walk order)."""
 
     __slots__ = ("decls", "deprecated", "nostack_calls", "address_of")
 
     def __init__(self, function: ast.FunctionDef):
-        #: Every local declaration, in walk order.
-        self.decls: list[ast.VarDecl] = []
-        #: Calls of deprecated macros, in walk order.
-        self.deprecated: list[ast.Call] = []
-        self.nostack_calls = 0
-        #: ``&name`` operands, checked against the locals after the walk.
-        self.address_of: list[ast.UnaryOp] = []
-        for node in function.walk():
-            if isinstance(node, ast.DeclStmt):
-                self.decls.extend(node.decls)
-            elif isinstance(node, ast.Call):
-                if node.callee_name in machine.DEPRECATED_MACROS:
-                    self.deprecated.append(node)
-                elif node.callee_name == machine.NOSTACK:
-                    self.nostack_calls += 1
-            elif (isinstance(node, ast.UnaryOp) and node.op == "&"
-                    and isinstance(node.operand, ast.Ident)):
-                self.address_of.append(node)
+        index = function.node_index()
+        calls = index.of(ast.Call)
+        #: Every local declaration.
+        self.decls: list[ast.VarDecl] = [
+            decl for stmt in index.of(ast.DeclStmt) for decl in stmt.decls]
+        #: Calls of deprecated macros.
+        self.deprecated: list[ast.Call] = [
+            call for call in calls
+            if call.callee_name in machine.DEPRECATED_MACROS]
+        self.nostack_calls = sum(
+            1 for call in calls if call.callee_name == machine.NOSTACK)
+        #: ``&name`` operands, checked against the locals.
+        self.address_of: list[ast.UnaryOp] = [
+            node for node in index.of(ast.UnaryOp)
+            if node.op == "&" and isinstance(node.operand, ast.Ident)]
 
 
 def _call_name(stmt: Optional[ast.Stmt]) -> Optional[str]:
@@ -375,8 +373,9 @@ class NoFloatChecker(Checker):
         result, sink = self._new_result()
         nodes_checked = 0
         for function in program.functions():
-            for node in function.walk():
-                nodes_checked += 1
+            nodes = function.node_index().nodes
+            nodes_checked += len(nodes)
+            for node in nodes:
                 if self._is_floating(node):
                     sink.add(Report(
                         checker=self.name,

@@ -60,12 +60,13 @@ def _summary_memo_key(graph: FlowGraph, summaries: dict,
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def annotate_lanes(event: ast.Node) -> dict | None:
-    """The local pass's annotation hook: mark sends and space waits."""
+def annotate_lanes(calls: list[ast.Call]) -> dict | None:
+    """The local pass's annotation hook: mark the sends and space waits
+    among one event's calls."""
     sends: list[list] = []
     waits: list[int] = []
-    for node in event.walk():
-        if not isinstance(node, ast.Call) or node.callee_name is None:
+    for node in calls:
+        if node.callee_name is None:
             continue
         lane = machine.lane_of_send(node.callee_name, node.args)
         if lane is not None:

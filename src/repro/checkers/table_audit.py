@@ -25,15 +25,10 @@ from __future__ import annotations
 
 from ..flash import machine
 from ..lang import ast
+from ..mc.summary import event_calls, event_index
 from ..metal.runtime import Report
 from ..project import Program, ProtocolInfo
 from .base import Checker, CheckerResult, register
-
-
-def _event_calls(event: ast.Node):
-    for node in event.walk():
-        if isinstance(node, ast.Call) and node.callee_name is not None:
-            yield node.callee_name
 
 
 @register
@@ -69,6 +64,7 @@ class TableAuditChecker(Checker):
         Returns None when the routine allocates (skipped).
         """
         cfg = program.cfg(function)
+        index = event_index(cfg)
         exit_states: set[bool] = set()
         visited: set[tuple[int, bool]] = set()
         stack: list[tuple] = [(cfg.entry, True)]
@@ -78,7 +74,8 @@ class TableAuditChecker(Checker):
                 continue
             visited.add((block.index, has))
             for event in block.events:
-                for callee in _event_calls(event):
+                for call in event_calls(index[id(event)]):
+                    callee = call.callee_name
                     if callee == machine.DB_ALLOC:
                         return None
                     if (callee == machine.DB_FREE

@@ -201,9 +201,11 @@ class _Fleet:
     Construction loads the checker packs, so a broken pack fails the run
     before anything else.  :meth:`open` builds the worker count, the
     result cache, the stop flag and supervision policy, the observation
-    and the run journal, announcing ``run: id=`` on stderr.
-    :meth:`running` wraps the run itself, :meth:`finish` finalizes its
-    observation, and :meth:`record` appends it to the run ledger.
+    and the run journal, announcing ``run: id=`` on stderr; every
+    command reads its inputs first, so an unreadable one leaves no run
+    behind.  :meth:`running` wraps the run itself, :meth:`finish`
+    finalizes its observation, and :meth:`record` appends it to the run
+    ledger.
     ``command`` names the run in the journal header and the ledger.
     """
 
@@ -366,6 +368,10 @@ def cmd_check(args) -> int:
     feasibility = args.feasibility == "on"
     min_confidence = args.min_confidence
     budget_seconds = args.budget_seconds
+    # Every input is read before the run journal exists, so one that
+    # cannot be read leaves no run behind.
+    texts = read_sources([*args.files, args.spec] if args.spec
+                         else args.files)
     fleet.open(budgeted=budget_seconds is not None)
     deadline = (time.time() + budget_seconds
                 if budget_seconds is not None else None)
@@ -375,7 +381,7 @@ def cmd_check(args) -> int:
             cache=fleet.cache, keep_going=args.keep_going, deadline=deadline,
             journal=fleet.journal, policy=fleet.policy,
             observation=fleet.observation, feasibility=feasibility,
-            frontend=args.frontend, pack_dirs=fleet.pack_dirs,
+            frontend=args.frontend, pack_dirs=fleet.pack_dirs, texts=texts,
         )
     fleet.finish(run)
     from .mc.ranking import score_run
@@ -448,6 +454,7 @@ def cmd_metal(args) -> int:
     json_mode = args.format == "json"
     feasibility = args.feasibility == "on"
     min_confidence = args.min_confidence
+    texts = read_sources([args.checker, *args.files])  # before the journal
     fleet.open(budgeted=(args.budget_steps is not None
                          or args.budget_seconds is not None))
     with fleet.running():
@@ -456,7 +463,7 @@ def cmd_metal(args) -> int:
             keep_going=args.keep_going, budget_steps=args.budget_steps,
             budget_seconds=args.budget_seconds, journal=fleet.journal,
             policy=fleet.policy, observation=fleet.observation,
-            feasibility=feasibility, frontend=args.frontend,
+            feasibility=feasibility, frontend=args.frontend, texts=texts,
         )
     fleet.finish(run)
     total = 0
@@ -641,20 +648,21 @@ def cmd_campaign(args) -> int:
         **extra,
     )
     campaign_fp = hashlib.sha256(spec.to_json().encode()).hexdigest()[:16]
+    if args.report:
+        try:
+            doc = json.loads(Path(args.report).read_text())
+        except OSError as exc:
+            raise ReproError(
+                f"cannot read {args.report}: {exc}") from None
+        except ValueError as exc:
+            raise ReproError(
+                f"{args.report} is not JSON: {exc}") from None
     # Campaign metrics come from the finished cross-tab (below), so the
     # Observation covers --trace/--progress only.
     fleet.open(journal_config={"campaign": campaign_fp}, metrics=False)
     with fleet.running():
         # -- static side: prior report doc, or an in-process check -----
         if args.report:
-            try:
-                doc = json.loads(Path(args.report).read_text())
-            except OSError as exc:
-                raise ReproError(
-                    f"cannot read {args.report}: {exc}") from None
-            except ValueError as exc:
-                raise ReproError(
-                    f"{args.report} is not JSON: {exc}") from None
             static_reports = reports_from_json(doc)
         else:
             static_run = check_files(

@@ -1,9 +1,11 @@
 """Abstract syntax tree for the C subset.
 
 Nodes are plain dataclasses.  Each carries a source :class:`Location` and
-supports generic traversal through :meth:`Node.children` / :meth:`Node.walk`,
-which is what the metal pattern matcher and the checkers use to visit
-"every tree node" the way xg++ extensions do.
+supports generic traversal through :meth:`Node.children` / :meth:`Node.walk`.
+The checkers visit "every tree node" the way xg++ extensions do through
+shared indexes built by one flat traversal, :func:`preorder`: each
+function's :class:`NodeIndex` (:meth:`FunctionDef.node_index`) and each
+CFG event's node tuple (:func:`repro.mc.summary.event_index`).
 
 Structural equality for pattern matching deliberately ignores locations:
 two ``x + 1`` expressions parsed from different lines are equal.
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
+from ..obs.metrics import current_metrics
 from .source import Location, unknown_location
 
 
@@ -23,12 +26,18 @@ from .source import Location, unknown_location
 # too slow to call once per visit.
 _CHILD_FIELDS: dict = {}
 
+#: Field annotations of payloads that never hold a node (names,
+#: operators, spellings, flags), which no traversal need look into.
+_PAYLOAD_TYPES = frozenset({"str", "bool", "int", "Optional[str]",
+                            "list[str]"})
+
 
 def _child_fields(cls) -> tuple:
     names = _CHILD_FIELDS.get(cls)
     if names is None:
         names = tuple(
-            f.name for f in fields(cls) if f.name != "location")
+            f.name for f in fields(cls)
+            if f.name != "location" and f.type not in _PAYLOAD_TYPES)
         _CHILD_FIELDS[cls] = names
     return names
 
@@ -71,6 +80,63 @@ class Node:
     @property
     def kind(self) -> str:
         return type(self).__name__
+
+
+def preorder(root: Node) -> list:
+    """``root`` and every node below it, in :meth:`Node.walk` pre-order.
+
+    The one traversal behind the shared node indexes, flat and without
+    the generator machinery: report, candidate and flow-graph call order
+    all follow this order.
+    """
+    nodes: list = []
+    append = nodes.append
+    stack = [root]
+    pop, push = stack.pop, stack.append
+    fields_of = _CHILD_FIELDS
+    node_cls = Node
+    seq_types = (list, tuple)
+    while stack:
+        node = pop()
+        append(node)
+        names = fields_of.get(node.__class__)
+        if names is None:
+            names = _child_fields(node.__class__)
+        # Children in reverse onto the stack, so they pop in order.
+        i = len(names)
+        while i:
+            i -= 1
+            value = getattr(node, names[i])
+            if isinstance(value, node_cls):
+                push(value)
+            elif isinstance(value, seq_types):
+                for item in reversed(value):
+                    if isinstance(item, node_cls):
+                        push(item)
+    return nodes
+
+
+class NodeIndex:
+    """Every node of one function, built once: ``nodes`` in
+    :meth:`Node.walk` pre-order, and :meth:`of` a class's nodes in the
+    same order.  Read-only: the lists are shared by every reader."""
+
+    __slots__ = ("nodes", "_by_class")
+
+    def __init__(self, nodes: list):
+        self.nodes = tuple(nodes)
+        by_class: dict = {}
+        for node in nodes:
+            group = by_class.get(node.__class__)
+            if group is None:
+                by_class[node.__class__] = [node]
+            else:
+                group.append(node)
+        self._by_class = by_class
+
+    def of(self, cls) -> list:
+        """The nodes whose class is exactly ``cls``, in pre-order."""
+        return self._by_class.get(cls, [])
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +513,19 @@ class FunctionDef(Decl):
         if len(self.params) == 1 and self.params[0].type_name.is_void:
             return True
         return False
+
+    def node_index(self) -> NodeIndex:
+        """This function's :class:`NodeIndex`, built on first use and
+        kept on the node, so it goes when the unit's AST goes.  Each
+        build adds the function's node count to the
+        ``frontend.nodes_indexed`` counter."""
+        index = self.__dict__.get("_memo_index")
+        if index is None:
+            index = self._memo_index = NodeIndex(preorder(self))
+            metrics = current_metrics()
+            if metrics is not None:
+                metrics.inc("frontend.nodes_indexed", len(index.nodes))
+        return index
 
 
 @dataclass

@@ -9,9 +9,10 @@ Scanning is one compiled regular expression: each match is a run of
 skipped text (whitespace, comments, preprocessor directives) followed by
 one named alternative — identifier, number, string, character, an
 unterminated literal or ``/*``, punctuation longest-first, a run of
-characters no token can start with, or the end of the input.  Line and
-column come from :meth:`SourceFile.location`, a bisection over the
-file's line starts.
+characters no token can start with, or the end of the input.  A token
+records its character offset; line and column come from
+:meth:`SourceFile.location`, a bisection over the file's line starts,
+only when its ``location`` is read.
 
 In **tolerant** mode (``Lexer(source, tolerant=True)``) the lexer never
 raises: byte sequences it cannot tokenize become ``UNKNOWN`` tokens and
@@ -25,7 +26,6 @@ or unclassifiable match.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
 
 from ..errors import LexError
@@ -132,13 +132,36 @@ _UNTERMINATED = {
 }
 
 
-@dataclass(frozen=True)
 class Token:
-    """One lexical token with its spelling and source location."""
+    """One lexical token: its kind, its spelling and where it starts.
 
-    kind: TokenKind
-    text: str
-    location: Location
+    The lexer records each token's character ``offset`` into its
+    :class:`SourceFile`, and :attr:`location` maps that offset to a line
+    and column when first read, so the frontend builds a
+    :class:`Location` for the tokens that become node locations or error
+    positions, not for every token.  ``Token(kind, text, location)``
+    builds a token at a known location (the metal parser's end marker,
+    the reference lexer); its ``offset`` is None.
+    """
+
+    __slots__ = ("kind", "text", "offset", "_where")
+
+    def __init__(self, kind: TokenKind, text: str,
+                 where: Location | SourceFile, offset: int | None = None):
+        self.kind = kind
+        self.text = text
+        self.offset = offset
+        #: The token's Location, or the SourceFile ``offset`` indexes
+        #: until the location is first read.
+        self._where = where
+
+    @property
+    def location(self) -> Location:
+        where = self._where
+        if where.__class__ is not Location:
+            # Kept, so every node built from this token shares one.
+            where = self._where = where.location(self.offset)
+        return where
 
     def is_punct(self, text: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.text == text
@@ -151,6 +174,9 @@ class Token:
             return "<eof>"
         return self.text
 
+    def __repr__(self) -> str:
+        return f"Token({self.kind.name}, {self.text!r}, {self.location})"
+
 
 class Lexer:
     """Single-pass tokenizer over a :class:`SourceFile`."""
@@ -162,14 +188,13 @@ class Lexer:
 
     def tokenize(self) -> list[Token]:
         """Tokenize the whole file, appending a single EOF token."""
-        locate = self.source.location
+        source = self.source
         kinds, keywords = _KINDS, KEYWORDS
         ident, keyword = TokenKind.IDENT, TokenKind.KEYWORD
         tokens: list[Token] = []
         append = tokens.append
         for match in _SCANNER.finditer(self.text):
             index = match.lastindex
-            location = locate(match.start(index))
             kind = kinds[index]
             text = match.group(index)
             if kind is ident:
@@ -182,21 +207,22 @@ class Lexer:
                 if group == "open_comment":
                     if self.tolerant:
                         break  # the rest of the file is comment
-                    raise LexError("unterminated block comment", location)
+                    raise LexError("unterminated block comment",
+                                   source.location(match.start(index)))
                 if group == "unknown":
                     if not self.tolerant:
                         raise LexError(f"unexpected character {text[0]!r}",
-                                       location)
+                                       source.location(match.start(index)))
                     kind = TokenKind.UNKNOWN
                 else:
                     quote, kind, message = _UNTERMINATED[group]
                     if not self.tolerant:
-                        raise LexError(message, location)
+                        raise LexError(message,
+                                       source.location(match.start(index)))
                     text += quote  # close the literal at end of line
-            append(Token(kind, text, location))
-        append(Token(TokenKind.EOF, "", locate(len(self.text))))
+            append(Token(kind, text, source, match.start(index)))
+        append(Token(TokenKind.EOF, "", source, len(self.text)))
         return tokens
-
 
 def tokenize(text: str, filename: str = "<input>",
              tolerant: bool = False) -> list[Token]:

@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import SourceError, SourceReadError
-from ..lang.source import read_source, read_sources, source_fingerprint
+from ..lang.source import read_sources, source_fingerprint
 from ..metal.runtime import Report, ReportSink
 from .cache import (
     SCHEMA_VERSION,
@@ -812,7 +812,8 @@ def check_files(paths: list, *, names: Optional[list] = None,
                 policy: Optional[SupervisorPolicy] = None,
                 observation=None, feasibility: bool = True,
                 frontend: str = "strict",
-                pack_dirs: tuple = ()) -> CheckRun:
+                pack_dirs: tuple = (),
+                texts: Optional[dict] = None) -> CheckRun:
     """Run the registered checker fleet over source files, in parallel.
 
     The parallel analog of :func:`repro.checkers.base.run_all`: same
@@ -828,10 +829,15 @@ def check_files(paths: list, *, names: Optional[list] = None,
     (``--feasibility``); ``frontend`` picks the parse mode
     (``--frontend strict|tolerant``).  Both are part of every store
     key, so runs with different settings never share entries.
+    ``texts`` maps the units and the spec, already read, to their text;
+    without it they are read here, units first.
     """
     ordered_paths = list(dict.fromkeys(paths))
-    sources = read_sources(ordered_paths)
-    spec_text = read_source(spec_path) if spec_path else None
+    if texts is None:
+        texts = read_sources([*ordered_paths, spec_path] if spec_path
+                             else ordered_paths)
+    sources = {path: texts[path] for path in ordered_paths}
+    spec_text = texts[spec_path] if spec_path else None
     selected = list(names) if names is not None else checker_names()
 
     config = WorkerConfig(
@@ -940,7 +946,8 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
                 journal: Optional[RunJournal] = None,
                 policy: Optional[SupervisorPolicy] = None,
                 observation=None, feasibility: bool = True,
-                frontend: str = "strict") -> MetalRun:
+                frontend: str = "strict",
+                texts: Optional[dict] = None) -> MetalRun:
     """Run one textual metal checker over files as parallel work items.
 
     The step budget applies per work item when ``jobs > 1`` (each worker
@@ -951,11 +958,16 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
     there to show — though the complete items they journal still land
     in the store.  A serial step-budgeted run disables the journal:
     replaying some items against a journal would hand the live items a
-    budget the original run never gave them.
+    budget the original run never gave them.  ``texts`` maps the metal
+    program and the units, already read, to their text; without it they
+    are read here, the metal program first.
     """
     from ..metal.parser import parse_metal
 
-    metal_text = read_source(metal_path)
+    ordered_paths = list(dict.fromkeys(paths))
+    if texts is None:
+        texts = read_sources([metal_path, *ordered_paths])
+    metal_text = texts[metal_path]
     sm = parse_metal(metal_text, filename=metal_path)  # validate up front
 
     if budget_steps is not None or budget_seconds is not None:
@@ -979,8 +991,7 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
         frontend=frontend,
     )
 
-    ordered_paths = list(dict.fromkeys(paths))
-    sources = read_sources(ordered_paths)
+    sources = {path: texts[path] for path in ordered_paths}
     items = [
         WorkItem(kind="metal", checker="", paths=(path,),
                  weight=len(sources[path]), index=i)

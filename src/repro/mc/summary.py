@@ -131,10 +131,10 @@ class MachineFilter:
 # How a node class's secondary discriminator is derived (see node_key).
 _MODE_PLAIN, _MODE_CALL, _MODE_NAME, _MODE_OP = 0, 1, 2, 3
 
-#: node class -> (primary, is_expr, is_opaque, mode, kind, child fields).
-#: Everything about a node the discriminators and the fused traversal
-#: depend on except its own payload, resolved once per class so the
-#: per-node cost in :func:`event_index` is one dict lookup.
+#: node class -> (primary, is_expr, is_opaque, mode, kind).  Everything
+#: about a node the discriminators depend on except its own payload,
+#: resolved once per class so the per-node cost in :func:`event_index`
+#: is one dict lookup.
 _CLS_INFO: dict = {}
 
 
@@ -152,7 +152,7 @@ def _cls_info(cls) -> tuple:
             mode = _MODE_PLAIN
         info = ((kind, None), issubclass(cls, ast.Expr),
                 issubclass(cls, (ast.OpaqueStmt, ast.OpaqueExpr)),
-                mode, kind, ast._child_fields(cls))
+                mode, kind)
         _CLS_INFO[cls] = info
     return info
 
@@ -168,7 +168,7 @@ def node_key(node: ast.Node) -> tuple:
     machine's slice dismisses most events with a single set
     intersection and recomputes per-node triples only for the rest.
     """
-    primary, is_expr, _, mode, kind, _ = _cls_info(type(node))
+    primary, is_expr, _, mode, kind = _cls_info(type(node))
     if mode == _MODE_CALL:
         func = node.func
         secondary = ((kind, func.name)
@@ -200,7 +200,8 @@ def filter_for(sm) -> MachineFilter:
 #: expression, and whether it contains an opaque region — computed once
 #: per CFG and shared by every machine's slice (a corpus pass runs six
 #: machines over the same CFGs — without this, each re-walks the whole
-#: program) and by feasibility's transfer-function builder.  Per-node
+#: program), by feasibility's transfer-function builder, and by the
+#: readers of each event's calls (:func:`event_calls`).  Per-node
 #: discriminators are *not* stored: the slice recomputes them only for
 #: the few events its fast path cannot dismiss.
 _EVENT_INDEX: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -212,31 +213,25 @@ def event_index(cfg) -> dict:
         index = {}
         cls_map = _CLS_INFO
         cls_info = _cls_info
-        node_cls = ast.Node
+        preorder = ast.preorder
         is_ident = ast.Ident
-        seq_types = (list, tuple)
         for block in cfg.blocks:
             for event in block.events:
-                # One fused traversal: the flat node tuple (exact
-                # ``walk`` pre-order, inlined to skip the generator
-                # machinery), the set of all discriminators present,
-                # the expression flag, and opaque detection together.
-                nodes: list = []
-                add_node = nodes.append
+                # The flat node tuple, in exact ``walk`` pre-order
+                # (candidate order is part of report byte-identity),
+                # then the set of all discriminators present, the
+                # expression flag, and opaque detection in one pass.
+                nodes = preorder(event)
                 key_set: set = set()
                 add = key_set.add
                 has_expr = False
                 opaque = False
-                stack = [event]
-                pop = stack.pop
-                while stack:
-                    n = pop()
-                    add_node(n)
+                for n in nodes:
                     cls = n.__class__
                     info = cls_map.get(cls)
                     if info is None:
                         info = cls_info(cls)
-                    primary, is_expr, is_opaque, mode, kind, names = info
+                    primary, is_expr, is_opaque, mode, kind = info
                     add(primary)
                     if mode != _MODE_PLAIN:
                         if mode == _MODE_CALL:
@@ -251,23 +246,22 @@ def event_index(cfg) -> dict:
                         has_expr = True
                     if is_opaque:
                         opaque = True
-                    # Children in reverse onto the stack, so pre-order
-                    # pops match ``Node.walk`` exactly (candidate order
-                    # is part of report byte-identity).
-                    i = len(names)
-                    while i:
-                        i -= 1
-                        value = getattr(n, names[i])
-                        if isinstance(value, node_cls):
-                            stack.append(value)
-                        elif isinstance(value, seq_types):
-                            for item in reversed(value):
-                                if isinstance(item, node_cls):
-                                    stack.append(item)
                 index[id(event)] = (tuple(nodes), frozenset(key_set),
                                     has_expr, opaque)
         _EVENT_INDEX[cfg] = index
     return index
+
+
+_CALL_KEY = ("Call", None)
+
+
+def event_calls(entry: tuple) -> list:
+    """The ``Call`` nodes of one :func:`event_index` entry, in walk
+    order; an event without one is dismissed by its key set."""
+    if _CALL_KEY not in entry[1]:
+        return []
+    call = ast.Call
+    return [node for node in entry[0] if node.__class__ is call]
 
 
 #: cfg -> {id(event): (discriminator -> node positions, expr positions)}

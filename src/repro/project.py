@@ -196,11 +196,10 @@ class Program:
         cached = self._calls.get(function.name)
         if cached is not None and cached[0] is function:
             return cached[1]
-        from .lang import ast
-        from .mc.summary import event_index
+        from .mc.summary import event_calls, event_index
         index = event_index(self.cfg(function))
         calls = tuple(node for entry in index.values()
-                      for node in entry[0] if isinstance(node, ast.Call))
+                      for node in event_calls(entry))
         self._calls[function.name] = (function, calls)
         return calls
 

@@ -452,3 +452,25 @@ class TestUnreadableInputs:
         assert "Traceback" not in proc.stderr
         assert "mc-check: internal error: cannot read" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "{missing}", "{c}"),
+        ("check", "--keep-going", "{missing}", "{c}"),
+        ("check", "--spec", "{missing}", "{c}"),
+        ("metal", "{missing}", "{c}"),
+        ("campaign", "--spec", "{missing}", "{c}"),
+        ("campaign", "--dispatch", "1=Racy", "--report", "{missing}", "{c}"),
+    ], ids=["check-unit", "check-unit-keep-going", "check-spec", "metal",
+            "campaign-spec", "campaign-report"])
+    def test_unreadable_input_leaves_no_run(self, argv, racy_c, tmp_path):
+        """Every input is read before the run journal is created, so a
+        run that cannot start announces no run id and leaves no
+        journal to ``--resume``."""
+        cache = tmp_path / "cache"
+        names = {"missing": str(tmp_path / "nope.input"), "c": racy_c}
+        argv = [arg.format(**names) for arg in argv]
+        proc = run_cli(*argv, "--cache-dir", str(cache))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "mc-check: internal error: cannot read" in proc.stderr
+        assert "run: id=" not in proc.stderr
+        assert not list(cache.glob("runs/*"))

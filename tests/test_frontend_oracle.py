@@ -6,7 +6,8 @@ master-regex scanner and the precedence-climbing parser.  These
 differential tests require, in strict and in tolerant mode:
 
 * the same token stream — kind, text and ``Location`` of every token —
-  or the same ``LexError`` message and location;
+  or the same ``LexError`` message and location, with every production
+  token's offset mapping back to its location and its text;
 * the same AST, locations included, for generated binary, ternary and
   assignment expressions, and for every unit of generated bitvector.
 """
@@ -41,10 +42,34 @@ def _scan(lexer_class, text, tolerant):
     return [(t.kind, t.text, t.location) for t in tokens]
 
 
+def assert_offsets_round_trip(text, tolerant):
+    """Each token's offset gives its location, and spells its text in
+    the source, except the end marker and a literal the tolerant lexer
+    closed itself (its source runs to the end of the line or input)."""
+    source = SourceFile("oracle.c", text)
+    try:
+        tokens = Lexer(source, tolerant=tolerant).tokenize()
+    except LexError:
+        return
+    for tok in tokens:
+        assert source.location(tok.offset) == tok.location, (tok, text)
+        if tok.kind is TokenKind.EOF:
+            continue
+        spelled = text[tok.offset:tok.offset + len(tok.text)]
+        if (spelled != tok.text and tolerant
+                and tok.kind in (TokenKind.STRING_LIT, TokenKind.CHAR_LIT)):
+            end = tok.offset + len(tok.text) - 1
+            assert text[tok.offset:end] == tok.text[:-1], (tok, text)
+            assert text[end:end + 1] in ("", "\n"), (tok, text)
+        else:
+            assert spelled == tok.text, (tok, text)
+
+
 def assert_same_tokens(text):
     for tolerant in MODES:
         assert (_scan(Lexer, text, tolerant)
                 == _scan(ReferenceLexer, text, tolerant)), (tolerant, text)
+        assert_offsets_round_trip(text, tolerant)
 
 
 # Fragments that each exercise one branch of the scanner: directives,

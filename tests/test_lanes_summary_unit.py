@@ -7,6 +7,7 @@ from repro.checkers.lanes import LaneSummary, annotate_lanes, summarize_lanes
 from repro.flash import machine
 from repro.lang import annotate, parse
 from repro.mc.interproc import bottom_up
+from repro.mc.summary import event_calls, event_index
 
 
 def summaries_of(src):
@@ -133,8 +134,10 @@ def test_annotate_lanes_hook():
         }
     """)
     annotate(unit)
-    events = list(build_cfg(unit.function("f")).events())
-    annotations = [annotate_lanes(e) for e in events]
+    cfg = build_cfg(unit.function("f"))
+    index = event_index(cfg)
+    annotations = [annotate_lanes(event_calls(index[id(e)]))
+                   for e in cfg.events()]
     sends = [a for a in annotations if a and a.get("sends")]
     waits = [a for a in annotations if a and a.get("waits")]
     plain = [a for a in annotations if a is None]
