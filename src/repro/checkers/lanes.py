@@ -20,47 +20,21 @@ that does send is reported as a possible error.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from ..cfg.callgraph import CallGraph, FlowGraph, emit_flowgraph
 from ..flash import machine
 from ..lang import ast
 from ..lang.source import Location
-from ..mc.cache import AnalysisMemo
 from ..mc.interproc import bottom_up
 from ..metal.runtime import Report
-from ..obs.metrics import current_metrics
 from ..project import Program, ProtocolInfo
 from .base import CheckerResult, TwoPassChecker, register
 
 LANES = machine.LANE_COUNT
 
-#: Process-wide memo for :func:`summarize_lanes`, which is pure in
-#: (flowgraph, relevant callee summaries, cycle peers).  Across repeated
-#: runs of the global pass (watch mode, overlapping protocol variants)
-#: an unchanged function re-uses its summary; hit/miss deltas feed the
-#: ``engine.summary_hits``/``engine.summary_misses`` counters alongside
-#: the SM engine's function-summary store.
-_SUMMARY_MEMO = AnalysisMemo()
 
-
-def _summary_memo_key(graph: FlowGraph, summaries: dict,
-                      cycle_peers: set[str]) -> str:
-    """Content key for one ``summarize_lanes`` call: the flow graph's
-    full repr (dataclasses of strs/ints — deterministic) plus the repr
-    of each callee summary the computation can consult and the cycle
-    peer set.  Anything that can change the output changes the key."""
-    relevant = sorted(
-        (name, repr(summaries.get(name)))
-        for name in graph.callees()
-        if name not in cycle_peers
-    )
-    text = "\n".join((repr(graph), repr(relevant), repr(sorted(cycle_peers))))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def annotate_lanes(calls: list[ast.Call]) -> dict | None:
+def annotate_lanes(calls: tuple[ast.Call, ...]) -> dict | None:
     """The local pass's annotation hook: mark the sends and space waits
     among one event's calls."""
     sends: list[list] = []
@@ -252,14 +226,7 @@ class LaneChecker(TwoPassChecker):
         warned_cycles: set[frozenset] = set()
 
         def summarize(graph: FlowGraph, summaries, cycle_peers):
-            # Only the pure summary computation is memoized; the cycle
-            # warning below stays live so every run that still contains
-            # a sending cycle reports it (reports are per-run state).
-            key = _summary_memo_key(graph, summaries, cycle_peers)
-            summary = _SUMMARY_MEMO.get(key)
-            if summary is None:
-                summary = summarize_lanes(graph, summaries, cycle_peers)
-                _SUMMARY_MEMO.put(key, summary)
+            summary = summarize_lanes(graph, summaries, cycle_peers)
             if cycle_peers and summary.sends_any:
                 key = frozenset(cycle_peers)
                 if key not in warned_cycles:
@@ -274,17 +241,7 @@ class LaneChecker(TwoPassChecker):
                     ))
             return summary
 
-        memo_hits = _SUMMARY_MEMO.hits
-        memo_misses = _SUMMARY_MEMO.misses
         summaries = bottom_up(callgraph, summarize)
-        metrics = current_metrics()
-        if metrics is not None:
-            if _SUMMARY_MEMO.hits > memo_hits:
-                metrics.inc("engine.summary_hits",
-                            _SUMMARY_MEMO.hits - memo_hits)
-            if _SUMMARY_MEMO.misses > memo_misses:
-                metrics.inc("engine.summary_misses",
-                            _SUMMARY_MEMO.misses - memo_misses)
 
         result.applied = sum(
             1

@@ -1199,11 +1199,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dispatch", action="append", required=True,
                        metavar="OPCODE=HANDLER",
                        help="dispatch-table entry (repeatable)")
-    p_sim.add_argument("--messages", type=int, default=1000)
+    p_sim.add_argument("--messages", type=_ranged(int, 1), default=1000)
     p_sim.add_argument("--nodes", type=_ranged(int, 1), default=2)
-    p_sim.add_argument("--buffers", type=int, default=16)
-    p_sim.add_argument("--lane-capacity", type=int, default=8)
-    p_sim.add_argument("--max-hops", type=int, default=4)
+    p_sim.add_argument("--buffers", type=_ranged(int, 1), default=16)
+    p_sim.add_argument("--lane-capacity", type=_ranged(int, 1), default=8)
+    p_sim.add_argument("--max-hops", type=_ranged(int, 0), default=4)
     p_sim.add_argument("--seed", type=int, default=7)
     p_sim.add_argument("--strict", action="store_true",
                        help="violations raise instead of being counted")
@@ -1245,16 +1245,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="root seed; every run's workload seed and "
                              "fault plan derive from sha256(seed, run) "
                              "(default: 7)")
-    p_camp.add_argument("--messages", type=int, default=25,
+    p_camp.add_argument("--messages", type=_ranged(int, 1), default=25,
                         help="workload messages per run (default: 25)")
     p_camp.add_argument("--nodes", type=_ranged(int, 1), default=2)
-    p_camp.add_argument("--buffers", type=int, default=16)
-    p_camp.add_argument("--lane-capacity", type=int, default=8)
-    p_camp.add_argument("--max-hops", type=int, default=2)
+    p_camp.add_argument("--buffers", type=_ranged(int, 1), default=16)
+    p_camp.add_argument("--lane-capacity", type=_ranged(int, 1), default=8)
+    p_camp.add_argument("--max-hops", type=_ranged(int, 0), default=2)
     p_camp.add_argument("--fault-sites", default=None, metavar="SITE,...",
                         help="simulator fault sites campaign plans draw "
                              "rules from (default: all sites)")
-    p_camp.add_argument("--max-fault-rules", type=int, default=3,
+    p_camp.add_argument("--max-fault-rules", type=_ranged(int, 0), default=3,
                         metavar="N",
                         help="at most N generated fault rules per run; "
                              "~1/(N+1) of runs stay fault-free as the "

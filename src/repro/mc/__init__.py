@@ -3,11 +3,9 @@
 from .. import _lazy
 
 _EXPORTS = {
-    "cache": ("AnalysisMemo", "CacheStats", "FunctionSummary",
-              "FunctionSummaryStore", "ResultCache", "checker_fingerprint",
+    "cache": ("CacheStats", "ResultCache", "checker_fingerprint",
               "clear_function_summaries", "default_cache_dir",
-              "engine_fingerprint", "function_fingerprint",
-              "function_summaries", "result_from_payload", "result_to_payload",
+              "engine_fingerprint", "result_from_payload", "result_to_payload",
               "sink_from_payload", "sink_to_payload", "work_item_key"),
     "engine": ("check_function", "check_unit", "run_machine"),
     "summary": ("CfgSlice", "MachineFilter", "slice_for"),

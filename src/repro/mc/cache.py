@@ -25,9 +25,7 @@ import inspect
 import json
 import os
 import tempfile
-import weakref
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -366,265 +364,12 @@ def work_item_key(*, checker_fp: str, units: list[tuple[str, str]],
     return _sha256(*chunks)
 
 
-# -- in-memory function summaries (the summary engine's third leg) -----------
-
-# The engine fingerprints each function once per store lookup, and a
-# corpus pass runs one lookup per checker — six identical sha256 walks
-# without a memo.  AST nodes are unhashable by design, so the memo is
-# stashed on the node itself (the same idiom feasibility uses for
-# ``cfg._feasibility``).  This is safe *after* annotation because
-# nothing else mutates an analyzed AST; in-place mutators must call
-# :func:`invalidate_fingerprint` (sema runs before any fingerprint can
-# exist — Programs annotate at load — and the transform pass
-# invalidates explicitly).
-_FINGERPRINT_ATTR = "_mc_fingerprint"
-#: Set by :func:`invalidate_fingerprint`: the node was mutated in place,
-#: so a *source-derived* fingerprint no longer describes it.  Only the
-#: AST-walk fingerprint may be memoized from then on.
-_FINGERPRINT_DIRTY_ATTR = "_mc_fingerprint_dirty"
-
-
-def invalidate_fingerprint(function) -> None:
-    """Drop ``function``'s memoized fingerprint after an in-place AST
-    mutation (see :class:`repro.mc.transform.RedundantWaitEliminator`)."""
-    try:
-        delattr(function, _FINGERPRINT_ATTR)
-    except AttributeError:
-        pass
-    try:
-        setattr(function, _FINGERPRINT_DIRTY_ATTR, True)
-    except (AttributeError, TypeError):
-        pass
-
-
-def seed_fingerprints(unit, filename: str, text: str, *,
-                      context: str = "") -> None:
-    """Stash source-derived fingerprints on every function of a parsed
-    unit, replacing the per-function AST walk with one hash of the unit.
-
-    A function's analyzed form is fully determined by the unit's source
-    text, its filename (part of report locations), the sema context
-    (``context`` — the prelude text, which folds in typedefs and struct
-    layouts the same way ``ctype`` payloads did), and the function's
-    name and position inside the unit.  Any edit anywhere in the unit
-    therefore invalidates every summary of the unit — coarser than the
-    AST-walk fingerprint, never stale.
-
-    Functions flagged by :func:`invalidate_fingerprint` (mutated in
-    place after parsing, e.g. by the transform pass) are skipped: their
-    source text no longer describes them, so they keep using the
-    AST-walk fingerprint.  Programs sharing memoized unit ASTs re-seed
-    the same value, which is idempotent.
-    """
-    unit_fp = _sha256(filename.encode(), text.encode(), context.encode())
-    for function in unit.functions():
-        if getattr(function, _FINGERPRINT_DIRTY_ATTR, False):
-            continue
-        if getattr(function, _FINGERPRINT_ATTR, None) is not None:
-            continue
-        loc = function.location
-        fp = hashlib.sha256(
-            f"{unit_fp}\x00{function.name}\x00{loc.line}\x00{loc.column}"
-            .encode()).hexdigest()
-        try:
-            setattr(function, _FINGERPRINT_ATTR, fp)
-        except (AttributeError, TypeError):
-            pass
-
-
-#: The node payload attributes the fingerprint covers.
-_PAYLOAD_NAMES = ("name", "op", "value", "text", "arrow",
-                  "specifiers", "pointer_depth")
-
-#: node class -> the subset of ``_PAYLOAD_NAMES`` the class can carry
-#: (dataclass fields or properties).  Looked up per class instead of
-#: probing all seven names on every node.
-_PAYLOAD_ATTRS: dict = {}
-
-
-def _payload_attrs(cls) -> tuple:
-    attrs = _PAYLOAD_ATTRS.get(cls)
-    if attrs is None:
-        fields_ = getattr(cls, "__dataclass_fields__", {})
-        attrs = tuple(a for a in _PAYLOAD_NAMES
-                      if a in fields_ or hasattr(cls, a))
-        _PAYLOAD_ATTRS[cls] = attrs
-    return attrs
-
-
-def function_fingerprint(function) -> str:
-    """Content hash of one function's *analyzed* form.
-
-    Covers everything the engine's behaviour over the function can
-    depend on: the node kinds and their structural order (pre-order
-    walk), identifier/operator/literal/member payloads, declaration type
-    spellings, resolved semantic types (``ctype`` — these fold in
-    whole-unit context like typedefs and struct layouts, so an edit
-    elsewhere in the file that retypes an expression changes the
-    fingerprint even when the function's own text did not), and absolute
-    source locations including the filename — report locations and
-    provenance lines are part of a summary, so replay must be
-    position-exact by construction, never rebased.
-
-    Memoized on the node object itself; mutate-in-place callers
-    invalidate via :func:`invalidate_fingerprint`.
-    """
-    cached = getattr(function, _FINGERPRINT_ATTR, None)
-    if cached is not None:
-        return cached
-    # Hot: one full-AST pass per function per process.  The payload is
-    # accumulated as one list and hashed in a single update — per-node
-    # hashlib calls and f-strings are what made the naive version slow.
-    parts = [function.location.filename]
-    append = parts.append
-    for node in function.walk():
-        cls = type(node)
-        loc = node.location
-        append(f"|{cls.__name__}:{loc.line}:{loc.column}")
-        for attr in _payload_attrs(cls):
-            value = getattr(node, attr, None)
-            if value is not None and not hasattr(value, "walk"):
-                append(f";{attr}={value!r}")
-        ctype = getattr(node, "ctype", None)
-        if ctype is not None:
-            append(f";t={ctype!r}")
-    fp = hashlib.sha256("\x00".join(parts).encode()).hexdigest()
-    try:
-        setattr(function, _FINGERPRINT_ATTR, fp)
-    except (AttributeError, TypeError):  # slotted stand-in (tests)
-        pass
-    return fp
-
-
-@dataclass(frozen=True)
-class FunctionSummary:
-    """One completed (machine, function) analysis: entry state to exit
-    states, plus everything the walk emitted.  Shaped like the slice of
-    a :class:`ReportSink` one ``run_machine`` call produces, so
-    :func:`repro.mc.summary.merge_into` can replay it verbatim."""
-
-    entry_state: str
-    exit_states: tuple
-    reports: tuple
-    suppressed: tuple
-    #: Per-report provenance trails for exactly the keys above.
-    provenance: dict = field(default_factory=dict)
-    # A stored summary is always from a clean, unbudgeted run.
-    quarantines: tuple = ()
-    degraded: bool = False
-    degradation_notes: tuple = ()
-
-
-class FunctionSummaryStore:
-    """In-process store of :class:`FunctionSummary` records.
-
-    Keyed on the machine *object* (weakly — machines built per checker
-    run die with it) times :func:`function_fingerprint` times the
-    analysis configuration.  Object identity, not a source fingerprint,
-    scopes a machine's entries: Python-API machines close over protocol
-    spec tables, so two textually identical machines can behave
-    differently — identity is the only safe equivalence.  Entries are
-    LRU-bounded per machine; a hit replays reports, suppressions, and
-    provenance byte-identically (same content hash, same engine
-    semantics version, same filename and absolute positions).
-    """
-
-    def __init__(self, capacity: int = 4096):
-        self._by_machine: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary())
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-
-    def key(self, cfg, *, entry_state: str, feasibility: bool) -> tuple:
-        from .summary import ENGINE_SUMMARY_VERSION
-        return (function_fingerprint(cfg.function), entry_state,
-                bool(feasibility), ENGINE_SUMMARY_VERSION)
-
-    def get(self, sm, key: tuple) -> Optional[FunctionSummary]:
-        try:
-            entries = self._by_machine.get(sm)
-        except TypeError:
-            return None
-        if entries is None:
-            self.misses += 1
-            return None
-        summary = entries.get(key)
-        if summary is None:
-            self.misses += 1
-            return None
-        entries.move_to_end(key)
-        self.hits += 1
-        return summary
-
-    def put(self, sm, key: tuple, summary: FunctionSummary) -> None:
-        try:
-            entries = self._by_machine.get(sm)
-            if entries is None:
-                entries = self._by_machine[sm] = OrderedDict()
-        except TypeError:
-            return  # an un-weakref-able machine is simply not cached
-        entries[key] = summary
-        entries.move_to_end(key)
-        while len(entries) > self.capacity:
-            entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._by_machine = weakref.WeakKeyDictionary()
-        self.hits = 0
-        self.misses = 0
-
-
-_FUNCTION_SUMMARIES = FunctionSummaryStore()
-
-
-def function_summaries() -> FunctionSummaryStore:
-    """The process-wide function-summary store."""
-    return _FUNCTION_SUMMARIES
-
-
 def clear_function_summaries() -> None:
-    """Tests and benchmarks: drop every cached function summary."""
-    _FUNCTION_SUMMARIES.clear()
-
-
-class AnalysisMemo:
-    """A small bounded LRU memo for pure interprocedural summaries.
-
-    :func:`repro.mc.interproc.bottom_up` callers use one to skip
-    re-summarizing callees whose inputs have not changed (the lanes
-    checker keys on flowgraph content plus callee summaries).  Hits and
-    misses feed the ``engine.summary_hits``/``engine.summary_misses``
-    counters alongside the function-summary store's.
+    """No-op, kept importable for the benchmark harness, which calls it
+    between in-process invocations.  The in-process function-summary
+    store it used to empty is gone: it was keyed on machine objects,
+    and every run builds fresh machines, so it never answered a lookup.
     """
-
-    def __init__(self, capacity: int = 4096):
-        self._entries: OrderedDict = OrderedDict()
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-
-    _MISSING = object()
-
-    def get(self, key):
-        value = self._entries.get(key, self._MISSING)
-        if value is self._MISSING:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
 
 
 # -- the on-disk store -------------------------------------------------------

@@ -8,9 +8,8 @@ exponentially many paths are covered in linear work.
 
 The walk runs over a checker-aware slice of the CFG
 (:mod:`repro.mc.summary`): per-event candidate nodes, dead-tail
-merging, whole-function skipping, and reusable per-function summaries
-(:class:`repro.mc.cache.FunctionSummaryStore`).  The unsliced walk is
-kept as a test oracle only: setting :data:`_PATHS_ORACLE` swaps in
+merging, and whole-function skipping.  The unsliced walk is kept as a
+test oracle only: setting :data:`_PATHS_ORACLE` swaps in
 :class:`_IdentitySlice`, and the differential tests hold reports,
 suppressed reports, provenance, and confidence byte-identical between
 the two (docs/engine.md).
@@ -31,12 +30,11 @@ from ..obs.provenance import build_steps, report_key
 from ..obs.trace import MAX_PATH_SPANS_PER_FUNCTION, current_tracer
 from . import feasibility as _feas
 from . import summary as _summary
-from .cache import FunctionSummary, function_summaries
 from .resilience import Budget, Quarantine
 
 
 #: Test-only: when True, :func:`run_machine` walks the unsliced CFG
-#: (:class:`_IdentitySlice`, no summary store) — the paths oracle the
+#: (:class:`_IdentitySlice`) — the paths oracle the
 #: differential tests compare against.  Tests flip it with
 #: ``unittest.mock.patch.object``; it is read per call, so it reaches
 #: checkers that imported ``run_machine`` directly, in-process only.
@@ -113,9 +111,6 @@ class _Run:
         # Join points: (block, state, store, opaque) points reached again
         # and folded into the first visit instead of being re-explored.
         self.merged = 0
-        # Machine states observed at function exits (path ends) — the
-        # "entry-state → exit-states" face of a function summary.
-        self.exit_states: set[str] = set()
         # Provenance position: where the machine is right now.
         self.parents: dict[tuple, tuple] = {}
         self.block_transitions_by_key: dict[tuple, list] = {}
@@ -198,7 +193,6 @@ class _Run:
 
     def at_path_end(self, state: str) -> None:
         self.path_ends += 1
-        self.exit_states.add(state)
         if self.sm.path_end_action is None:
             return
         # Past every event ordinal, so provenance keeps the whole block.
@@ -290,12 +284,9 @@ def run_machine(sm: StateMachine, cfg: Cfg, sink: ReportSink, *,
     counted (``engine.pruned_edges``).
 
     The walk covers a checker-aware slice of the CFG, merges away dead
-    tails, skips functions the machine cannot observe, and serves
-    repeat analyses of an unchanged function from the process-wide
-    summary store — with reports, suppressions, provenance, and
-    confidence byte-identical to the unsliced walk (docs/engine.md).
-    Budgeted runs bypass the store: their outcome depends on the
-    budget, not just on content.
+    tails, and skips functions the machine cannot observe — with
+    reports, suppressions, provenance, and confidence byte-identical to
+    the unsliced walk (docs/engine.md).
 
     Every execution also records path provenance for each *new* report
     (``sink.provenance``), counts its work into the active metrics
@@ -307,56 +298,34 @@ def run_machine(sm: StateMachine, cfg: Cfg, sink: ReportSink, *,
         return
     if feasibility is None:
         feasibility = _feas.default_enabled()
-    walk_sink = sink
-    store = store_key = None
     if _PATHS_ORACLE:
         cfg_slice = _IdentitySlice()
     else:
         cfg_slice = _summary.slice_for(sm, cfg)
-        metrics = current_metrics()
         if cfg_slice.full_skip:
             # No pattern of this machine can match anything reachable
             # from the entry, and there is no path-end action: the
             # machine cannot observe this function at all.
+            metrics = current_metrics()
             if metrics is not None:
                 metrics.inc("engine.functions")
                 metrics.inc("engine.skipped_functions")
             return
-        if budget is None:
-            store = function_summaries()
-            store_key = store.key(cfg, entry_state=initial,
-                                  feasibility=bool(feasibility))
-            cached = store.get(sm, store_key)
-            if cached is not None:
-                _summary.merge_into(sink, cached)
-                if metrics is not None:
-                    metrics.inc("engine.functions")
-                    metrics.inc("engine.summary_hits")
-                return
-            if metrics is not None:
-                metrics.inc("engine.summary_misses")
-            # Walk into a private sink so the summary records this
-            # function's *full* emissions, not the delta left after
-            # unit-wide de-duplication — a replay into any sink must
-            # compose the way a live walk would.
-            walk_sink = ReportSink()
     feas = _feas.for_cfg(cfg) if feasibility else None
-    run = _Run(sm, cfg, walk_sink, budget, feas, cfg_slice)
+    run = _Run(sm, cfg, sink, budget, feas, cfg_slice)
     span = (run.tracer.span("function", cfg.name, checker=sm.name)
             if run.tracer.enabled else None)
-    previous_hook = walk_sink.on_new_report
-    previous_gate = walk_sink.report_gate
-    walk_sink.on_new_report = run.attach_provenance
-    walk_sink.report_gate = run.opaque_gate
+    previous_hook = sink.on_new_report
+    previous_gate = sink.report_gate
+    sink.on_new_report = run.attach_provenance
+    sink.report_gate = run.opaque_gate
     if budget is not None:
         budget.start_clock()
-    completed = False
     try:
         _walk_cached(run, cfg)
-        completed = True
     except _OutOfBudget:
-        walk_sink.degraded = True
-        walk_sink.degradation_notes.append(
+        sink.degraded = True
+        sink.degradation_notes.append(
             f"[{sm.name}] {cfg.name}: exploration stopped — {budget.note()}"
         )
         if span is not None:
@@ -366,25 +335,14 @@ def run_machine(sm: StateMachine, cfg: Cfg, sink: ReportSink, *,
             span.status = "error"
         if not isolate:
             raise
-        walk_sink.add_quarantine(Quarantine(
+        sink.add_quarantine(Quarantine(
             checker=sm.name, function=cfg.name, phase="path-walk",
             error_type=type(exc).__name__, message=str(exc),
         ))
     finally:
-        walk_sink.on_new_report = previous_hook
-        walk_sink.report_gate = previous_gate
+        sink.on_new_report = previous_hook
+        sink.report_gate = previous_gate
         _flush_run(run, span)
-        if walk_sink is not sink:
-            _summary.merge_into(sink, walk_sink)
-            if (completed and store is not None and not walk_sink.degraded
-                    and not walk_sink.quarantines):
-                store.put(sm, store_key, FunctionSummary(
-                    entry_state=initial,
-                    exit_states=tuple(sorted(run.exit_states)),
-                    reports=tuple(walk_sink.reports),
-                    suppressed=tuple(walk_sink.suppressed),
-                    provenance=dict(walk_sink.provenance),
-                ))
 
 
 def _walk_cached(run: _Run, cfg: Cfg) -> None:

@@ -29,12 +29,6 @@ def bottom_up(
     do not send can be ignored; cycles that send are flagged).  The
     SCCs are visited callees first, and the members of one SCC in name
     order.
-
-    A ``summarize`` whose result is pure in those three inputs can be
-    memoized across runs with :class:`repro.mc.cache.AnalysisMemo` —
-    key on flow-graph content plus the callee summaries it can consult
-    (see the lanes checker) and keep any report emission *outside* the
-    memoized computation, since reports are per-run state.
     """
     summaries: dict[str, Summary] = {}
     for component in callgraph.sccs():

@@ -43,7 +43,7 @@ byte-identical output against the unsliced paths oracle.  They are
 Budget accounting is kept in parity: sliced-out nodes are charged to
 the budget without being stepped (:meth:`CfgSlice.skipped_nodes`), so a
 ``--budget-steps`` run exhausts at the same work level as the unsliced
-walk.  Budgeted runs are never cached.
+walk.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ import weakref
 from typing import Optional
 
 from ..lang import ast
-
-#: Version of the summary-engine semantics; folded into every
-#: function-summary key so changing slicing/replay behaviour can never
-#: replay a stale record.
-ENGINE_SUMMARY_VERSION = 1
 
 
 # -- the machine filter ------------------------------------------------------
@@ -70,10 +65,10 @@ class MachineFilter:
 
     Built once per machine from the *roots* of every pattern of every
     rule (the matcher unifies at the root only; :meth:`Pattern.match`).
-    The filter is a sound over-approximation: :meth:`match_possible`
-    may say yes for a node no pattern matches, but never no for one a
-    pattern would match — the discriminators below only use facts
-    ``Pattern._unify`` checks unconditionally at the root:
+    The filter is a sound over-approximation: :class:`CfgSlice` may
+    keep a node no pattern matches, but never drops one a pattern would
+    match — the discriminators below only use facts ``Pattern._unify``
+    checks unconditionally at the root:
 
     * a metavar root accepts any expression (type-class constraints are
       ignored — conservative);
@@ -119,16 +114,8 @@ class MachineFilter:
             keys.add((kind, None))
         return False
 
-    def match_possible(self, node: ast.Node) -> bool:
-        if self.any_expr and isinstance(node, ast.Expr):
-            return True
-        primary, secondary, _ = node_key(node)
-        keys = self.keys
-        return (primary in keys
-                or (secondary is not None and secondary in keys))
 
-
-# How a node class's secondary discriminator is derived (see node_key).
+# How a node class's secondary discriminator is derived (see event_index).
 _MODE_PLAIN, _MODE_CALL, _MODE_NAME, _MODE_OP = 0, 1, 2, 3
 
 #: node class -> (primary, is_expr, is_opaque, mode, kind).  Everything
@@ -157,31 +144,6 @@ def _cls_info(cls) -> tuple:
     return info
 
 
-def node_key(node: ast.Node) -> tuple:
-    """The discriminator triple ``(primary, secondary, is_expr)`` that
-    :meth:`MachineFilter.match_possible` tests a node by.
-
-    ``primary`` is ``(kind, None)`` — the wildcard entry for the node's
-    kind; ``secondary`` is the name/operator-refined entry, or ``None``
-    when the kind carries no payload the filter discriminates on.
-    :func:`event_index` folds these into one set per event, so a
-    machine's slice dismisses most events with a single set
-    intersection and recomputes per-node triples only for the rest.
-    """
-    primary, is_expr, _, mode, kind = _cls_info(type(node))
-    if mode == _MODE_CALL:
-        func = node.func
-        secondary = ((kind, func.name)
-                     if isinstance(func, ast.Ident) else None)
-    elif mode == _MODE_NAME:
-        secondary = (kind, node.name)
-    elif mode == _MODE_OP:
-        secondary = (kind, node.op)
-    else:
-        secondary = None
-    return primary, secondary, is_expr
-
-
 _FILTERS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -194,16 +156,19 @@ def filter_for(sm) -> MachineFilter:
 
 # -- the CFG slice -----------------------------------------------------------
 
-#: cfg -> {id(event): (nodes, key-set, has_expr, opaque)}.
-#: Everything machine-independent about an event — its flat node tuple,
-#: the frozenset of every discriminator present, whether any node is an
-#: expression, and whether it contains an opaque region — computed once
-#: per CFG and shared by every machine's slice (a corpus pass runs six
-#: machines over the same CFGs — without this, each re-walks the whole
-#: program), by feasibility's transfer-function builder, and by the
-#: readers of each event's calls (:func:`event_calls`).  Per-node
-#: discriminators are *not* stored: the slice recomputes them only for
-#: the few events its fast path cannot dismiss.
+#: cfg -> {id(event): (nodes, by_key, exprs, opaque)}.
+#: Everything machine-independent about an event, from one pre-order
+#: pass: its flat node tuple; each discriminator present mapped to the
+#: positions of the nodes that carry it; the positions of its
+#: expression nodes; and whether it contains an opaque region.  A set
+#: of positions is an int whose bit ``i`` stands for ``nodes[i]``
+#: (:func:`_at` reads it back in walk order).  Every node carries its
+#: kind's wildcard discriminator ``(kind, None)``; a call with a named
+#: callee, an identifier, a member and an operator node also carry
+#: ``(kind, name-or-operator)``.  Built once per CFG and shared by
+#: every machine's slice (a corpus pass runs six machines over the same
+#: CFGs), by feasibility's transfer-function builder, and by the
+#: readers of each event's calls (:func:`event_calls`).
 _EVENT_INDEX: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -218,79 +183,55 @@ def event_index(cfg) -> dict:
         for block in cfg.blocks:
             for event in block.events:
                 # The flat node tuple, in exact ``walk`` pre-order
-                # (candidate order is part of report byte-identity),
-                # then the set of all discriminators present, the
-                # expression flag, and opaque detection in one pass.
+                # (candidate order is part of report byte-identity).
                 nodes = preorder(event)
-                key_set: set = set()
-                add = key_set.add
-                has_expr = False
+                by_key: dict = {}
+                get = by_key.get
+                exprs = 0
                 opaque = False
+                bit = 1
                 for n in nodes:
                     cls = n.__class__
                     info = cls_map.get(cls)
                     if info is None:
                         info = cls_info(cls)
                     primary, is_expr, is_opaque, mode, kind = info
-                    add(primary)
-                    if mode != _MODE_PLAIN:
-                        if mode == _MODE_CALL:
-                            func = n.func
-                            if isinstance(func, is_ident):
-                                add((kind, func.name))
-                        elif mode == _MODE_NAME:
-                            add((kind, n.name))
-                        else:
-                            add((kind, n.op))
+                    by_key[primary] = get(primary, 0) | bit
+                    if mode == _MODE_CALL:
+                        func = n.func
+                        if isinstance(func, is_ident):
+                            key = (kind, func.name)
+                            by_key[key] = get(key, 0) | bit
+                    elif mode == _MODE_NAME:
+                        key = (kind, n.name)
+                        by_key[key] = get(key, 0) | bit
+                    elif mode == _MODE_OP:
+                        key = (kind, n.op)
+                        by_key[key] = get(key, 0) | bit
                     if is_expr:
-                        has_expr = True
+                        exprs |= bit
                     if is_opaque:
                         opaque = True
-                index[id(event)] = (tuple(nodes), frozenset(key_set),
-                                    has_expr, opaque)
+                    bit <<= 1
+                index[id(event)] = (tuple(nodes), by_key, exprs, opaque)
         _EVENT_INDEX[cfg] = index
     return index
+
+
+def _at(nodes: tuple, positions: int) -> tuple:
+    """The ``nodes`` at a set of positions, in walk order."""
+    if not positions:
+        return ()
+    return tuple(node for i, node in enumerate(nodes) if positions >> i & 1)
 
 
 _CALL_KEY = ("Call", None)
 
 
-def event_calls(entry: tuple) -> list:
+def event_calls(entry: tuple) -> tuple:
     """The ``Call`` nodes of one :func:`event_index` entry, in walk
-    order; an event without one is dismissed by its key set."""
-    if _CALL_KEY not in entry[1]:
-        return []
-    call = ast.Call
-    return [node for node in entry[0] if node.__class__ is call]
-
-
-#: cfg -> {id(event): (discriminator -> node positions, expr positions)}
-#: for events at least one machine's fast path could not dismiss.  The
-#: inverted map is machine-independent; building it lazily (first live
-#: encounter) shares the work across the six machines of a corpus pass,
-#: and each machine's slice then costs one set intersection plus a few
-#: position lookups instead of a per-node scan.
-_EVENT_KEYS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _event_keymap(cfg, eid: int, all_nodes: tuple) -> tuple:
-    per_cfg = _EVENT_KEYS.get(cfg)
-    if per_cfg is None:
-        per_cfg = _EVENT_KEYS[cfg] = {}
-    entry = per_cfg.get(eid)
-    if entry is None:
-        by_key: dict = {}
-        expr_positions: list = []
-        for pos, n in enumerate(all_nodes):
-            primary, secondary, is_expr = node_key(n)
-            by_key.setdefault(primary, []).append(pos)
-            if secondary is not None:
-                by_key.setdefault(secondary, []).append(pos)
-            if is_expr:
-                expr_positions.append(pos)
-        entry = (by_key, tuple(expr_positions))
-        per_cfg[eid] = entry
-    return entry
+    order."""
+    return _at(entry[0], entry[1].get(_CALL_KEY, 0))
 
 
 class CfgSlice:
@@ -307,12 +248,11 @@ class CfgSlice:
     path must actually reach the exit in its precise state.
     """
 
-    __slots__ = ("filter", "_candidates", "_index", "_dead",
-                 "use_dead_tail", "full_skip", "live_blocks")
+    __slots__ = ("_candidates", "_index", "_dead", "use_dead_tail",
+                 "full_skip", "live_blocks")
 
     def __init__(self, sm, cfg):
         filt = filter_for(sm)
-        self.filter = filt
         self._candidates: dict[int, tuple] = {}
         index = event_index(cfg)
         self._index = index
@@ -324,22 +264,12 @@ class CfgSlice:
             block_live = False
             for event in block.events:
                 eid = id(event)
-                all_nodes, key_set, has_expr, _ = index[eid]
-                if keys.isdisjoint(key_set) and not (any_expr and has_expr):
-                    # Fast path: no discriminator of any pattern occurs
-                    # anywhere in the event — the whole event is sliced
-                    # out without touching its nodes.
-                    candidates[eid] = ()
-                    continue
-                by_key, expr_positions = _event_keymap(cfg, eid, all_nodes)
-                picked_pos = (set(expr_positions)
-                              if any_expr and has_expr else set())
-                get = by_key.get
-                for key in keys & key_set:
-                    picked_pos.update(get(key, ()))
-                if picked_pos:
-                    candidates[eid] = tuple(
-                        all_nodes[i] for i in sorted(picked_pos))
+                all_nodes, by_key, exprs, _ = index[eid]
+                positions = exprs if any_expr else 0
+                for key in keys.intersection(by_key):
+                    positions |= by_key[key]
+                if positions:
+                    candidates[eid] = _at(all_nodes, positions)
                     block_live = True
                 else:
                     candidates[eid] = ()
@@ -395,65 +325,6 @@ class CfgSlice:
         return self.use_dead_tail and self._dead[edge.dst.index]
 
 
-#: sm -> (cfg -> CfgSlice).  Both levels weak: checker instances build
-#: fresh machines per run and Programs memoize CFGs, so neither object's
-#: id may be used as a plain dict key without risking stale-id reuse.
-_SLICES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def slice_for(sm, cfg) -> CfgSlice:
-    per_machine = _SLICES.get(sm)
-    if per_machine is None:
-        per_machine = _SLICES[sm] = weakref.WeakKeyDictionary()
-    sl = per_machine.get(cfg)
-    if sl is None:
-        sl = per_machine[cfg] = CfgSlice(sm, cfg)
-    return sl
-
-
-# -- summary replay ----------------------------------------------------------
-
-def merge_into(sink, walk_sink, *, provenance_from: Optional[dict] = None):
-    """Fold one function's completed walk (or replayed summary) into
-    ``sink``.
-
-    ``walk_sink`` holds everything one ``run_machine`` execution
-    emitted, isolated from the unit-wide sink.  Replaying its final
-    state — reports first (so a clean report beats a suppression from an
-    *earlier* function, exactly as a shared-sink walk would resolve it),
-    then suppressions, then resilience state — produces the same
-    unit-wide sink a shared-sink walk builds directly.  Used both when a
-    walk just finished and when a cached summary is served.
-    """
-    from ..obs.provenance import report_key
-
-    provenance = (provenance_from if provenance_from is not None
-                  else walk_sink.provenance)
-    previous_gate = sink.report_gate
-    previous_hook = sink.on_new_report
-    sink.report_gate = None
-    sink.on_new_report = None
-    try:
-        for report in walk_sink.reports:
-            if sink.add(report):
-                steps = provenance.get(report_key(report))
-                if steps is not None:
-                    sink.provenance.setdefault(report_key(report), steps)
-        for report, why in walk_sink.suppressed:
-            key = report_key(report)
-            if key not in sink._suppressed_seen:
-                sink._suppressed_seen.add(key)
-                sink.suppressed.append((report, why))
-                sink.provenance.setdefault(
-                    key,
-                    provenance.get(key)
-                    or [{"kind": "suppressed", "suppressed_by": why}])
-    finally:
-        sink.report_gate = previous_gate
-        sink.on_new_report = previous_hook
-    for quarantine in walk_sink.quarantines:
-        sink.add_quarantine(quarantine)
-    if walk_sink.degraded:
-        sink.degraded = True
-    if walk_sink.degradation_notes:
-        sink.degradation_notes.extend(walk_sink.degradation_notes)
+    """``sm``'s slice of ``cfg``; the engine builds one per run."""
+    return CfgSlice(sm, cfg)

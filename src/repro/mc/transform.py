@@ -62,11 +62,8 @@ class RedundantWaitEliminator:
         }
         if redundant_ids:
             self._remove_stmts(function.body, redundant_ids, result)
-            # The AST changed in place: a function summary fingerprint
-            # or node index taken before the rewrite no longer
-            # describes this node.
-            from .cache import invalidate_fingerprint
-            invalidate_fingerprint(function)
+            # The AST changed in place: a node index taken before the
+            # rewrite no longer describes this node.
             function.__dict__.pop("_memo_index", None)
         return result
 

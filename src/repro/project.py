@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Optional
 from .flash.headers import FLASH_INCLUDES, FLASH_INCLUDES_NAME
 from .flash.machine import LANE_COUNT
 from .lang.source import read_sources  # noqa: F401 (re-exported)
-from .mc.cache import seed_fingerprints
 
 if TYPE_CHECKING:
     from .cfg.callgraph import CallGraph
@@ -141,11 +140,6 @@ class Program:
                 sema = annotate(unit, prelude=prelude)
             self.sema[filename] = sema
             self.units[filename] = unit
-            # Stash source-derived function fingerprints so the summary
-            # engine's store keys never need a per-function AST walk.
-            seed_fingerprints(
-                unit, filename, text,
-                context=FLASH_INCLUDES if include_flash_header else "")
 
     # -- access -------------------------------------------------------------
 

@@ -8,17 +8,15 @@ import pytest
 from repro.bench.tables import Experiment
 from repro.flash.codegen import generate_protocol
 from repro.lang import clear_memo
-from repro.mc import clear_function_summaries
 from repro.obs.metrics import MetricsRegistry, activate_metrics
 
 
 def _checked(feasibility: bool) -> tuple[Experiment, dict]:
     """A fully-checked experiment and the metrics counters of its check.
 
-    The parse memo and the summary store are emptied first, so every
-    function is walked, and counted, whatever earlier tests cached."""
+    The parse memo is emptied first, so every function is parsed,
+    walked and counted, whatever earlier tests cached."""
     clear_memo()
-    clear_function_summaries()
     registry = MetricsRegistry()
     previous = activate_metrics(registry)
     try:

@@ -387,8 +387,12 @@ class TestNumericFlagRanges:
     argparse before any work starts, as a bad ``--jobs`` is.  Run
     anyway, each one misleads: a confidence above 1 hides a real race
     behind "no errors found", a negative budget skips every item, a
-    negative item timeout kills every worker as hung, and zero nodes
-    die in a ``ZeroDivisionError`` with exit 1 ("bugs found")."""
+    negative item timeout kills every worker as hung, zero nodes die in
+    a ``ZeroDivisionError`` with exit 1 ("bugs found"), zero buffers
+    report a leak deadlock before any handler runs, lanes that hold
+    nothing "confirm" a lanes report, zero messages check nothing and
+    exit 0, and a negative fault-rule cap dies in a ``ValueError``
+    traceback."""
 
     @pytest.mark.parametrize("command, flag, bad, boundary", [
         ("check", "--min-confidence", "5", "1"),
@@ -401,6 +405,12 @@ class TestNumericFlagRanges:
         ("check", "--max-retries", "-3", "0"),
         ("simulate", "--nodes", "0", "1"),
         ("campaign", "--nodes", "-1", "1"),
+        ("simulate", "--buffers", "0", "1"),
+        ("campaign", "--lane-capacity", "0", "1"),
+        ("campaign", "--messages", "0", "1"),
+        ("simulate", "--messages", "-1", "1"),
+        ("simulate", "--max-hops", "-1", "0"),
+        ("campaign", "--max-fault-rules", "-1", "0"),
     ])
     def test_out_of_range_value_is_a_usage_error(self, command, flag, bad,
                                                  boundary, racy_c, tmp_path):

@@ -2,19 +2,17 @@
 
 The engine's contract (docs/engine.md):
 
-- the sliced walk with function summaries produces **byte-identical**
-  reports, suppressions, provenance, and confidence to the unsliced
-  paths oracle (``repro.mc.engine._PATHS_ORACLE``, flipped here with
+- the sliced walk produces **byte-identical** reports, suppressions,
+  provenance, and confidence to the unsliced paths oracle
+  (``repro.mc.engine._PATHS_ORACLE``, flipped here with
   ``unittest.mock.patch.object``) — proved by direct differential
   testing over generated handlers (property), the five paper protocols,
   and tolerant-frontend/opaque input;
-- replaying a cached function summary is indistinguishable from
-  re-walking the function;
-- the slicer's ``MachineFilter`` is a sound over-approximation of root
-  unification, and slices classify dead regions correctly;
-- ``engine.summary_hits``/``engine.summary_misses``/
-  ``engine.merged_states`` flow into the metrics registry and
-  ``mc-check stats``;
+- a slice keeps the nodes a machine's patterns can match, drops the
+  rest, and classifies dead regions correctly;
+- ``engine.steps``/``engine.merged_states`` flow into the metrics
+  registry and ``mc-check stats``, and an in-process re-check counts
+  the same work as the first check;
 - ``--resume`` under different analysis settings refuses cleanly.
 """
 
@@ -35,17 +33,11 @@ from repro import parse_metal
 from repro.checkers.metal_sources import FIGURE_2
 from repro.errors import ReproError
 from repro.lang import ast, clear_memo, set_default_mode
-from repro.mc import (
-    check_files,
-    clear_function_summaries,
-    function_summaries,
-    run_to_json,
-    score_run,
-    slice_for,
-)
+from repro.cli import main
+from repro.flash.spec import dump_spec
+from repro.mc import check_files, run_to_json, score_run, slice_for
 from repro.mc import engine
 from repro.mc.engine import run_machine
-from repro.mc.summary import filter_for
 from repro.mc.supervisor import RunJournal
 from repro.metal.runtime import ReportSink
 from repro.obs.metrics import MetricsRegistry, activate_metrics, format_metrics
@@ -53,9 +45,8 @@ from repro.project import program_from_source
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: One machine shared by the whole module, so later differential
-#: examples exercise the summary store's replay path (a fresh machine
-#: per example would never hit the store).
+#: One machine shared by the whole module: the engine keeps no state
+#: between runs of a machine, so examples stay independent.
 _SM = parse_metal(FIGURE_2)
 
 
@@ -187,7 +178,6 @@ class TestPaperCorpusEquivalence:
         scores = {}
         counters = {}
         for oracle in (True, False):
-            clear_function_summaries()
             registry = MetricsRegistry()
             previous = activate_metrics(registry)
             # check_files at jobs=1 runs in this process, so the oracle
@@ -239,7 +229,6 @@ def test_depth_sweep_oracle_grows_engine_stays_flat(depth):
     sm = parse_metal(FIGURE_2)
     counters = {}
     for oracle in (True, False):
-        clear_function_summaries()
         (cfg,) = program_from_source(_sweep_source(depth)).cfgs()
         sink = ReportSink()
         registry = MetricsRegistry()
@@ -256,7 +245,7 @@ def test_depth_sweep_oracle_grows_engine_stays_flat(depth):
     assert counters[False]["engine.steps"] == 1
 
 
-# -- summary replay ------------------------------------------------------------
+# -- whole-function skip -------------------------------------------------------
 
 _REAL_BUG = """
 void RealBug(void) {
@@ -280,31 +269,6 @@ void Bystander(void) {
 
 
 class TestSummaryStore:
-    def test_replay_is_indistinguishable_from_walking(self):
-        sm = parse_metal(FIGURE_2)
-        program = program_from_source(_REAL_BUG)
-        (cfg,) = program.cfgs()
-        store = function_summaries()
-        hits0, misses0 = store.hits, store.misses
-        first, second = ReportSink(), ReportSink()
-        run_machine(sm, cfg, first, feasibility=True)
-        run_machine(sm, cfg, second, feasibility=True)
-        assert store.misses == misses0 + 1
-        assert store.hits == hits0 + 1
-        assert _snapshot(first) == _snapshot(second)
-        assert len(first.reports) == 1
-
-    def test_budgeted_runs_bypass_the_store(self):
-        from repro.mc import Budget
-        sm = parse_metal(FIGURE_2)
-        program = program_from_source(_REAL_BUG)
-        (cfg,) = program.cfgs()
-        store = function_summaries()
-        lookups0 = store.hits + store.misses
-        sink = ReportSink()
-        run_machine(sm, cfg, sink, budget=Budget(max_steps=100000))
-        assert store.hits + store.misses == lookups0
-
     def test_irrelevant_function_is_skipped_entirely(self):
         sm = parse_metal(FIGURE_2)
         program = program_from_source(_IRRELEVANT)
@@ -319,18 +283,8 @@ class TestSummaryStore:
 # -- the slicer ----------------------------------------------------------------
 
 class TestMachineFilter:
-    def _calls(self, source: str) -> dict[str, ast.Call]:
-        program = program_from_source(source)
-        out = {}
-        for unit in program.units.values():
-            for node in unit.walk():
-                if isinstance(node, ast.Call) and node.callee_name:
-                    out[node.callee_name] = node
-        return out
-
     def test_relevant_calls_pass_irrelevant_fail(self):
-        filt = filter_for(_SM)
-        calls = self._calls("""
+        (cfg,) = program_from_source("""
 void F(void) {
     unsigned addr;
     unsigned buf;
@@ -339,10 +293,15 @@ void F(void) {
     bump_counter(addr);
     return;
 }
-""")
-        assert filt.match_possible(calls["WAIT_FOR_DB_FULL"])
-        assert filt.match_possible(calls["MISCBUS_READ_DB"])
-        assert not filt.match_possible(calls["bump_counter"])
+""").cfgs()
+        sl = slice_for(_SM, cfg)
+        kept = {node.callee_name
+                for block in cfg.blocks for event in block.events
+                for node in sl.candidates(event)
+                if isinstance(node, ast.Call)}
+        assert "WAIT_FOR_DB_FULL" in kept
+        assert "MISCBUS_READ_DB" in kept
+        assert "bump_counter" not in kept
 
     def test_slice_liveness(self):
         sm = parse_metal(FIGURE_2)
@@ -351,8 +310,6 @@ void F(void) {
         sl = slice_for(sm, cfg)
         assert not sl.full_skip
         assert sl.live_blocks >= 1
-        # Slices are cached per (machine, cfg).
-        assert slice_for(sm, cfg) is sl
 
 
 # -- counters ------------------------------------------------------------------
@@ -374,21 +331,6 @@ void Diamond(void) {
 
 
 class TestCounters:
-    def test_summary_counters_reach_the_registry(self):
-        sm = parse_metal(FIGURE_2)
-        program = program_from_source(_REAL_BUG)
-        (cfg,) = program.cfgs()
-        registry = MetricsRegistry()
-        previous = activate_metrics(registry)
-        try:
-            for _ in range(2):
-                run_machine(sm, cfg, ReportSink(), feasibility=True)
-        finally:
-            activate_metrics(previous)
-        counters = registry.snapshot()["counters"]
-        assert counters.get("engine.summary_misses", 0) >= 1
-        assert counters.get("engine.summary_hits", 0) >= 1
-
     def test_merged_states_counted_and_rendered(self):
         # Feasibility off: both diamond arms rejoin in the same
         # (block, state) key, so the join merges rather than forking.
@@ -408,16 +350,12 @@ class TestCounters:
 
     def test_paths_oracle_steps_every_node_and_skips_the_store(self):
         # The differential tests above are only as good as the switch:
-        # under the oracle the walk must step nodes the slice leaves out
-        # and never consult the summary store.
+        # under the oracle the walk must step nodes the slice leaves out.
         sm = parse_metal(FIGURE_2)
         program = program_from_source(_DIAMOND)
         (cfg,) = program.cfgs()
-        store = function_summaries()
         steps = {}
         for oracle in (True, False):
-            clear_function_summaries()
-            lookups0 = store.hits + store.misses
             registry = MetricsRegistry()
             previous = activate_metrics(registry)
             try:
@@ -426,8 +364,6 @@ class TestCounters:
             finally:
                 activate_metrics(previous)
             steps[oracle] = registry.counters["engine.steps"]
-            lookups = store.hits + store.misses - lookups0
-            assert lookups == (0 if oracle else 1)
         assert steps[True] > steps[False]
 
     def test_stats_cli_shows_engine_counters(self, tmp_path):
@@ -439,7 +375,30 @@ class TestCounters:
                        cache_dir=tmp_path / "cache")
         assert metrics.exists(), proc.stdout + proc.stderr
         shown = run_cli("stats", str(metrics))
-        assert "engine.summary_misses" in shown.stdout
+        assert "engine.steps" in shown.stdout
+
+    def test_in_process_recheck_does_the_work_of_the_first(
+            self, bitvector, tmp_path, monkeypatch):
+        # A second check in the same process, its parse memo emptied,
+        # must count what the first counted: no store left over from
+        # the first run may answer for the second.
+        units = []
+        for filename, text in bitvector.files.items():
+            path = tmp_path / filename
+            path.write_text(text)
+            units.append(str(path))
+        spec = tmp_path / "bitvector.spec"
+        spec.write_text(dump_spec(bitvector.info))
+        monkeypatch.setenv("MC_CHECK_CACHE_DIR", str(tmp_path / "cache"))
+        counters = []
+        for i in range(2):
+            metrics = tmp_path / f"metrics{i}.json"
+            clear_memo()
+            main(["check", *sorted(units), "--spec", str(spec),
+                  "--no-cache", "--metrics-out", str(metrics)])
+            counters.append(json.loads(metrics.read_text())["counters"])
+        assert counters[0]["engine.functions"] > 0
+        assert counters[0] == counters[1]
 
 
 # -- resume under different analysis settings ---------------------------------

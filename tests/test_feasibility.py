@@ -39,7 +39,6 @@ from repro.checkers.metal_sources import (
 from repro.mc import (
     ResultCache,
     check_files,
-    clear_function_summaries,
     confidence_of,
     feasibility,
     filter_by_confidence,
@@ -346,7 +345,6 @@ def test_nothing_to_prune_costs_no_extra_work():
     sm = parse_metal(BUFFER_RACE_FULL)
     work = {}
     for enabled in (False, True):
-        clear_function_summaries()
         sink = ReportSink()
         registry = MetricsRegistry()
         previous = activate_metrics(registry)

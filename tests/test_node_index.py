@@ -15,7 +15,6 @@ import json
 from repro.cli import main
 from repro.flash.spec import dump_spec
 from repro.lang import ast, clear_memo, parse
-from repro.mc import clear_function_summaries
 from repro.project import Program
 
 
@@ -65,7 +64,6 @@ def test_cold_check_indexes_each_function_once_and_barely_walks(
     metrics = tmp_path / "metrics.json"
     # A cold process: no unit parsed, so no function indexed, yet.
     clear_memo()
-    clear_function_summaries()
 
     yielded = 0
     walk = ast.Node.walk
