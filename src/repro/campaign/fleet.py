@@ -142,8 +142,6 @@ def run_campaign(spec: CampaignSpec, *, jobs: int = 1,
         trace_dir=(observation.worker_trace_dir
                    if observation is not None else None),
         collect_obs=observation is not None,
-        heartbeat_dir=(observation.worker_heartbeat_dir
-                       if observation is not None else None),
     )
     items = [
         WorkItem(kind="campaign", checker="", paths=tuple(spec.files),
@@ -154,7 +152,7 @@ def run_campaign(spec: CampaignSpec, *, jobs: int = 1,
     ]
     keys = (shard_keys(spec, sources)
             if cache is not None or journal is not None else {})
-    payloads, _budget, run_stats = _run_items(
+    payloads, run_stats = _run_items(
         items, config, jobs, cache, keys, _shard_from_payload,
         journal=journal, policy=policy, observation=observation)
 

@@ -486,10 +486,7 @@ def cmd_metal(args) -> int:
                 print(format_quarantines(sink.quarantines))
         print(f"{total} diagnostic(s) from sm {run.sm_name}")
         if degraded:
-            budget = run.budget
-            print("DEGRADED: results are partial"
-                  + (f" ({budget.note()})"
-                     if budget and budget.exhausted else ""))
+            print("DEGRADED: results are partial")
         print(run.summary_line())
     if run.interrupted:
         code = _interrupted(run, fleet.journal, json_mode)
@@ -992,8 +989,7 @@ def cmd_history(args) -> int:
     from .obs.ledger import format_history, read_ledger
     records = read_ledger(_ledger_path_from_args(args))
     if getattr(args, "format", "text") == "json":
-        shown = records[-args.limit:] if args.limit else records
-        print(json.dumps(shown, indent=2, sort_keys=True))
+        print(json.dumps(records[-args.limit:], indent=2, sort_keys=True))
     else:
         print(format_history(records, limit=args.limit))
     return 0
@@ -1105,9 +1101,9 @@ def _add_fleet_flags(parser: argparse.ArgumentParser) -> None:
                              "'mc-check stats FILE'")
     parser.add_argument("--progress", action="store_true",
                         help="render live fleet status to stderr: items "
-                             "done, items/sec, ETA, per-worker liveness "
-                             "(heartbeats), retry/quarantine counts; "
-                             "reports stay byte-identical")
+                             "done, items/sec, ETA, worker liveness (from "
+                             "the supervisor's pool), retry/quarantine "
+                             "counts; reports stay byte-identical")
     parser.add_argument("--format", choices=["text", "json"], default="text",
                         help="report format: 'json' prints a machine-"
                              "readable document (report ids + path "
@@ -1183,8 +1179,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "pairs instead of aborting")
     p_metal.add_argument("--budget-steps", type=_ranged(int, 0, above=True),
                          default=None,
-                         help="stop exploring after this many machine steps "
-                              "(partial results, marked DEGRADED)")
+                         help="stop exploring a file after this many machine "
+                              "steps, at any --jobs (partial results, "
+                              "marked DEGRADED)")
     p_metal.add_argument("--budget-seconds",
                          type=_ranged(float, 0, above=True), default=None,
                          help="wall-clock cap for the whole analysis "
@@ -1342,7 +1339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--trace", default=None, metavar="FILE",
                            help="profile this span trace file directly "
                                 "instead of resolving a RUN-ID")
-    p_profile.add_argument("--top", type=int, default=10, metavar="N",
+    p_profile.add_argument("--top", type=_ranged(int, 1), default=10,
+                           metavar="N",
                            help="hotspot list length (default: 10)")
     p_profile.add_argument("--format", choices=["text", "json"],
                            default="text")
@@ -1356,9 +1354,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="list recorded runs from the ledger "
              "(<cache-dir>/ledger.jsonl): one line per check/metal/"
              "campaign run with wall time, exit code, and report count")
-    p_history.add_argument("--limit", type=int, default=20, metavar="N",
-                           help="show the N most recent runs "
-                                "(default: 20; 0 = all)")
+    p_history.add_argument("--limit", type=_ranged(int, 1), default=20,
+                           metavar="N",
+                           help="show the N most recent runs (default: 20)")
     p_history.add_argument("--format", choices=["text", "json"],
                            default="text")
     p_history.add_argument("--cache-dir", default=None,

@@ -12,7 +12,7 @@ _EXPORTS = {
     "parser": ("FRONTEND_MODES", "Parser", "default_mode", "parse",
                "parse_expression", "parse_statement", "set_default_mode"),
     "sema": ("SemaInfo", "annotate"),
-    "memo": ("clear_memo", "memo_stats", "parse_annotated"),
+    "memo": ("clear_memo", "parse_annotated"),
     "source": ("Location", "SourceFile", "Span", "read_source", "read_sources",
                "source_fingerprint"),
     "symtab": ("Scope", "Symbol", "SymbolKind"),

@@ -29,7 +29,6 @@ from . import ast
 
 
 _MEMO: dict[tuple, tuple] = {}
-_STATS = {"hits": 0, "misses": 0}
 
 
 def parse_annotated(
@@ -59,11 +58,9 @@ def parse_annotated(
     metrics = current_metrics()
     cached = _MEMO.get(key)
     if cached is not None:
-        _STATS["hits"] += 1
         if metrics is not None:
             metrics.inc("parse.memo_hits")
         return cached
-    _STATS["misses"] += 1
     if metrics is not None:
         metrics.inc("parse.units")
     tracer = current_tracer()
@@ -111,9 +108,3 @@ def make_room_for(filenames) -> None:
 def clear_memo() -> None:
     """Drop every memoized unit (tests; long-lived embedding processes)."""
     _MEMO.clear()
-    _STATS["hits"] = _STATS["misses"] = 0
-
-
-def memo_stats() -> dict[str, int]:
-    """``{"hits": ..., "misses": ...}`` for this process's memo."""
-    return dict(_STATS)

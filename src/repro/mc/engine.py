@@ -8,11 +8,10 @@ exponentially many paths are covered in linear work.
 
 The walk runs over a checker-aware slice of the CFG
 (:mod:`repro.mc.summary`): per-event candidate nodes, dead-tail
-merging, and whole-function skipping.  The unsliced walk is kept as a
-test oracle only: setting :data:`_PATHS_ORACLE` swaps in
-:class:`_IdentitySlice`, and the differential tests hold reports,
-suppressed reports, provenance, and confidence byte-identical between
-the two (docs/engine.md).
+merging, and whole-function skipping.  The unsliced walk is a test
+oracle only (``tests/reference_engine.py``): the differential tests
+hold reports, suppressed reports, provenance, and confidence
+byte-identical between the two (docs/engine.md).
 """
 
 from __future__ import annotations
@@ -31,44 +30,6 @@ from ..obs.trace import MAX_PATH_SPANS_PER_FUNCTION, current_tracer
 from . import feasibility as _feas
 from . import summary as _summary
 from .resilience import Budget, Quarantine
-
-
-#: Test-only: when True, :func:`run_machine` walks the unsliced CFG
-#: (:class:`_IdentitySlice`) — the paths oracle the
-#: differential tests compare against.  Tests flip it with
-#: ``unittest.mock.patch.object``; it is read per call, so it reaches
-#: checkers that imported ``run_machine`` directly, in-process only.
-_PATHS_ORACLE = False
-
-
-class _IdentitySlice:
-    """The paths oracle's slice: every node of every event is stepped.
-
-    Independent of the slicer on purpose — nodes come from
-    ``event.walk()`` and opaque regions from its own scan, never from
-    :func:`repro.mc.summary.event_index` — and nothing is skipped: no
-    dead tails, no whole-function skip, no sliced-out nodes to charge.
-    """
-
-    def __init__(self):
-        self._opaque: dict[int, bool] = {}
-
-    def candidates(self, event: ast.Node):
-        return event.walk()
-
-    def event_opaque(self, event: ast.Node) -> bool:
-        cached = self._opaque.get(id(event))
-        if cached is None:
-            cached = self._opaque[id(event)] = any(
-                isinstance(n, (ast.OpaqueStmt, ast.OpaqueExpr))
-                for n in event.walk())
-        return cached
-
-    def skipped_nodes(self, event: ast.Node) -> int:
-        return 0
-
-    def skip_edge(self, edge) -> bool:
-        return False
 
 
 class _OutOfBudget(Exception):
@@ -99,8 +60,7 @@ class _Run:
         # Feasibility: None when pruning is off for this run.
         self.feas = feas
         self.current_store: Optional[_feas.Store] = None
-        # The machine's slice of the CFG (an _IdentitySlice for the
-        # paths oracle).
+        # The machine's slice of the CFG.
         self.cfg_slice = cfg_slice
         # Work counters (see class docstring).
         self.steps = 0
@@ -298,19 +258,16 @@ def run_machine(sm: StateMachine, cfg: Cfg, sink: ReportSink, *,
         return
     if feasibility is None:
         feasibility = _feas.default_enabled()
-    if _PATHS_ORACLE:
-        cfg_slice = _IdentitySlice()
-    else:
-        cfg_slice = _summary.slice_for(sm, cfg)
-        if cfg_slice.full_skip:
-            # No pattern of this machine can match anything reachable
-            # from the entry, and there is no path-end action: the
-            # machine cannot observe this function at all.
-            metrics = current_metrics()
-            if metrics is not None:
-                metrics.inc("engine.functions")
-                metrics.inc("engine.skipped_functions")
-            return
+    cfg_slice = _summary.slice_for(sm, cfg)
+    if cfg_slice.full_skip:
+        # No pattern of this machine can match anything reachable from
+        # the entry, and there is no path-end action: the machine
+        # cannot observe this function at all.
+        metrics = current_metrics()
+        if metrics is not None:
+            metrics.inc("engine.functions")
+            metrics.inc("engine.skipped_functions")
+        return
     feas = _feas.for_cfg(cfg) if feasibility else None
     run = _Run(sm, cfg, sink, budget, feas, cfg_slice)
     span = (run.tracer.span("function", cfg.name, checker=sm.name)

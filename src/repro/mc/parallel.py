@@ -114,7 +114,7 @@ class WorkerConfig:
     keep_going: bool = False
     #: Absolute ``time.time()`` deadline shared by the whole run.
     deadline: Optional[float] = None
-    #: Per-item step cap (metal items; run-wide when serial).
+    #: Per-item step cap (metal items).
     budget_steps: Optional[int] = None
     metal_text: Optional[str] = None
     metal_name: str = "<metal>"
@@ -127,10 +127,6 @@ class WorkerConfig:
     #: Collect per-item metrics into the payload's ``obs`` section
     #: (``--trace``/``--metrics-out``); stripped before it is stored.
     collect_obs: bool = False
-    #: Directory supervised workers append heartbeat events into
-    #: (``--progress``); ``None`` disables heartbeats.  Like the trace
-    #: dir, writes are best-effort and never fail the analysis.
-    heartbeat_dir: Optional[str] = None
     #: Infeasible-path pruning (``--feasibility``, repro.mc.feasibility).
     #: Shipped in the config so every execution mode — inline, pooled,
     #: supervised — runs the engine with the same setting.
@@ -390,8 +386,7 @@ def _item_budget(config: WorkerConfig) -> Optional[Budget]:
     return Budget(max_steps=config.budget_steps, max_seconds=remaining)
 
 
-def _run_metal_item(item: WorkItem, config: WorkerConfig,
-                    shared_budget: Optional[Budget] = None) -> dict:
+def _run_metal_item(item: WorkItem, config: WorkerConfig) -> dict:
     from ..lang.memo import parse_annotated
     from .engine import check_unit
 
@@ -413,9 +408,9 @@ def _run_metal_item(item: WorkItem, config: WorkerConfig,
             raise
         return _quarantine_payload(item, config, type(exc).__name__,
                                    str(exc), phase="input")
-    budget = shared_budget if shared_budget is not None else _item_budget(config)
     sink = ReportSink()
-    check_unit(sm, unit, sink, budget=budget, keep_going=config.keep_going)
+    check_unit(sm, unit, sink, budget=_item_budget(config),
+               keep_going=config.keep_going)
     label = _item_label(item, config)
     for quarantine in _input_quarantines(label, [unit]):
         if sink.add_quarantine(quarantine):
@@ -425,10 +420,9 @@ def _run_metal_item(item: WorkItem, config: WorkerConfig,
     return sink_to_payload(sink)
 
 
-def _execute_item_plain(item: WorkItem, config: WorkerConfig,
-                        shared_budget: Optional[Budget] = None) -> dict:
+def _execute_item_plain(item: WorkItem, config: WorkerConfig) -> dict:
     if item.kind == "metal":
-        return _run_metal_item(item, config, shared_budget)
+        return _run_metal_item(item, config)
     if item.kind == "campaign":
         from ..campaign.runner import run_campaign_item
         return run_campaign_item(item, config)
@@ -455,11 +449,10 @@ def _obs_tracer(config: WorkerConfig):
     return _TRACER[1]
 
 
-def _execute_item(item: WorkItem, config: WorkerConfig,
-                  shared_budget: Optional[Budget] = None) -> dict:
+def _execute_item(item: WorkItem, config: WorkerConfig) -> dict:
     """Execute one work item, observed when the config asks for it."""
     return _observed(item, config,
-                     lambda: _execute_item_plain(item, config, shared_budget))
+                     lambda: _execute_item_plain(item, config))
 
 
 def _observed(item: WorkItem, config: WorkerConfig, execute) -> dict:
@@ -543,7 +536,7 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
                journal: Optional[RunJournal] = None,
                policy: Optional[SupervisorPolicy] = None,
                observation=None, links: Optional[dict] = None,
-               ) -> tuple[dict, Optional[Budget], RunStats]:
+               ) -> tuple[dict, RunStats]:
     """Resolve every item to its ``decode``-d result: read from the
     store when the resumed ``journal`` lists its key (a replay) or the
     run has a ``cache``, else executed (supervised pool or inline) and
@@ -558,9 +551,11 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
     every item exactly once: fresh completions and links via
     ``absorb_payload``, everything else resolved parent-side — journal
     replays, cache hits, poison quarantines, interruption skips — via
-    ``item_resolved``.
+    ``item_resolved``, and its progress reporter, if any, begins before
+    the first item runs and finishes once the pool is done.
 
-    Returns ``(results by item index, shared serial budget or None,
+    Inline and pooled execution run an item the same way, so results
+    do not depend on ``jobs``.  Returns ``(results by item index,
     supervision stats)``.
     """
     from .supervisor import SupervisorUnavailable, supervise_items
@@ -612,16 +607,14 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
             cache.put(key, payload)
 
     _load_analysis(pending + to_link, config)
-    shared_budget: Optional[Budget] = None
     progress = observation.progress if observation is not None else None
-    if observation is not None:
-        observation.begin_pool(len(pending))
+    if progress is not None:
+        progress.begin(len(items), len(items) - len(pending))
     # Largest units first: the long poles start immediately, the small
     # ones backfill, and the pool drains with minimal tail latency.
     pending.sort(key=lambda it: (-it.weight, it.index))
 
     def run_inline() -> None:
-        nonlocal shared_budget
         from ..lang import parser
         from . import feasibility
         # Inline execution runs in the caller's process: restore the
@@ -630,8 +623,6 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
         previous_feasibility = feasibility.default_enabled()
         previous_mode = parser.default_mode()
         _init_worker(config)
-        # Serial runs share one Budget across every item.
-        shared_budget = _item_budget(config)
         try:
             for item in pending:
                 if item.index in payloads:
@@ -646,7 +637,7 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
                         f"({stats.stop_reason})")
                     resolved(item, "skipped")
                     continue
-                payload = _execute_item(item, config, shared_budget)
+                payload = _execute_item(item, config)
                 payloads[item.index] = payload
                 stats.completed += 1
                 record(item, payload)
@@ -655,8 +646,6 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
         finally:
             feasibility.set_default_enabled(previous_feasibility)
             parser.set_default_mode(previous_mode)
-        if progress is not None:
-            progress.finish(stats)
 
     def quarantined(item: WorkItem, error_type: str, message: str) -> dict:
         resolved(item, "quarantined")
@@ -666,12 +655,9 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
         resolved(item, "skipped")
         return _skipped_payload(item, config, note)
 
-    if not pending:
-        if progress is not None:
-            progress.finish(stats)
-    elif jobs <= 1 or len(pending) == 1:
-        run_inline()
-    else:
+    # A run with nothing pending reaches neither branch, so it imports
+    # no frontend.
+    if jobs > 1 and len(pending) > 1:
         try:
             supervise_items(
                 pending, config, jobs, policy, stats, payloads, record,
@@ -683,6 +669,10 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
             # No usable multiprocessing here (restricted sandbox, missing
             # semaphores): degrade to in-process execution, results intact.
             run_inline()
+    elif pending:
+        run_inline()
+    if progress is not None:
+        progress.finish(stats)
     for index, payload in payloads.items():
         results[index] = decode(payload)
     for item in to_link:
@@ -692,7 +682,7 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
         stats.completed += 1
         record(item, payload)
         results[item.index] = decode(payload)
-    return results, shared_budget, stats
+    return results, stats
 
 
 def _report_sort_key(report: Report) -> tuple:
@@ -849,8 +839,6 @@ def check_files(paths: list, *, names: Optional[list] = None,
         trace_dir=(observation.worker_trace_dir
                    if observation is not None else None),
         collect_obs=observation is not None,
-        heartbeat_dir=(observation.worker_heartbeat_dir
-                       if observation is not None else None),
         feasibility=feasibility,
         frontend=frontend,
         pack_dirs=tuple(str(d) for d in pack_dirs),
@@ -894,10 +882,10 @@ def check_files(paths: list, *, names: Optional[list] = None,
             source_fingerprint(spec_text) if spec_text else "",
             _config_fp(feasibility, frontend))
 
-    parts, _, run_stats = _run_items(items, config, jobs, cache, keys,
-                                     result_from_payload, journal=journal,
-                                     policy=policy, observation=observation,
-                                     links=links)
+    parts, run_stats = _run_items(items, config, jobs, cache, keys,
+                                  result_from_payload, journal=journal,
+                                  policy=policy, observation=observation,
+                                  links=links)
 
     results = {name: merge_parts(name, [parts[i] for i in parts_of[name]])
                for name in selected}
@@ -915,9 +903,6 @@ class MetalRun:
     sinks: list                        # [(path, ReportSink)] in input order
     jobs: int = 1
     stats: Optional[CacheStats] = None
-    #: The shared serial budget, when one was used (its ``note()``
-    #: explains a DEGRADED footer the way PR 1's CLI did).
-    budget: Optional[Budget] = None
     #: Journal identity of this run (``--resume`` takes it), if any.
     run_id: Optional[str] = None
     #: Supervision accounting: retries, crashes, replays, interruption.
@@ -950,17 +935,13 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
                 texts: Optional[dict] = None) -> MetalRun:
     """Run one textual metal checker over files as parallel work items.
 
-    The step budget applies per work item when ``jobs > 1`` (each worker
-    explores independently) but stays shared across every file when
-    serial, preserving the original semantics; the wall-clock budget is
-    a single run-wide deadline either way.  Budgeted runs make no cache
-    lookups — a cached result would mask the degradation the budget is
-    there to show — though the complete items they journal still land
-    in the store.  A serial step-budgeted run disables the journal:
-    replaying some items against a journal would hand the live items a
-    budget the original run never gave them.  ``texts`` maps the metal
-    program and the units, already read, to their text; without it they
-    are read here, the metal program first.
+    ``budget_steps`` caps each file's exploration on its own, at any
+    ``jobs``; ``budget_seconds`` is a single run-wide deadline.
+    Budgeted runs make no cache lookups — a cached result would mask
+    the degradation the budget is there to show — though the complete
+    items they journal still land in the store.  ``texts`` maps the
+    metal program and the units, already read, to their text; without
+    it they are read here, the metal program first.
     """
     from ..metal.parser import parse_metal
 
@@ -972,8 +953,6 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
 
     if budget_steps is not None or budget_seconds is not None:
         cache = None
-    if jobs <= 1 and budget_steps is not None:
-        journal = None
     deadline = (time.time() + budget_seconds
                 if budget_seconds is not None else None)
 
@@ -985,8 +964,6 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
         trace_dir=(observation.worker_trace_dir
                    if observation is not None else None),
         collect_obs=observation is not None,
-        heartbeat_dir=(observation.worker_heartbeat_dir
-                       if observation is not None else None),
         feasibility=feasibility,
         frontend=frontend,
     )
@@ -1004,13 +981,12 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
         keys = _item_keys(items, sources, lambda item: metal_fp, "",
                           _config_fp(feasibility, frontend))
 
-    sinks_by_index, shared_budget, run_stats = _run_items(
+    sinks_by_index, run_stats = _run_items(
         items, config, jobs, cache, keys, sink_from_payload,
         journal=journal, policy=policy, observation=observation)
     sinks = [(path, sinks_by_index[i])
              for i, path in enumerate(ordered_paths)]
     return MetalRun(sm_name=sm.name, sinks=sinks, jobs=jobs,
                     stats=cache.stats if cache is not None else None,
-                    budget=shared_budget,
                     run_id=journal.run_id if journal is not None else None,
                     supervision=run_stats)

@@ -33,12 +33,13 @@ _TIME_CHECK_INTERVAL = 1024
 
 @dataclass
 class Budget:
-    """A spending limit shared by every (checker, function) pair of a run.
+    """A spending limit shared by every function of one work item.
 
     ``None`` limits are unlimited.  Charging returns ``False`` once the
     budget is gone; the engine then abandons the current exploration and
-    marks its sink degraded.  One Budget can be threaded through many
-    ``check_unit`` calls so the limit covers the whole analysis.
+    marks its sink degraded.  The fleet gives every metal work item (one
+    file) a fresh Budget, so a file explores the same steps inline or in
+    a worker, and the output does not depend on ``--jobs``.
     """
 
     max_steps: Optional[int] = None

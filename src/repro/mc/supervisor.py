@@ -65,6 +65,22 @@ if TYPE_CHECKING:
 #: v3: key-only records over the result cache; config names the command.
 JOURNAL_SCHEMA = 3
 
+#: Retry backoff: ``BACKOFF_BASE * BACKOFF_FACTOR**attempt`` seconds,
+#: plus up to ``BACKOFF_JITTER`` of it again, the jitter seeded by
+#: (``BACKOFF_SEED``, item, attempt) so runs repeat.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.25
+BACKOFF_SEED = 0
+
+#: Parent poll granularity (result wait, watchdog checks), in seconds.
+POLL_INTERVAL = 0.05
+
+#: A worker that has owned its item for longer than this (seconds) is
+#: shown as *stalled* by ``--progress`` — the human-facing twin of the
+#: watchdog's ``item_timeout``, read from the same ``started_at`` clock.
+STALL_AFTER = 10.0
+
 
 class SupervisorUnavailable(Exception):
     """No worker process could be spawned (restricted sandbox, missing
@@ -128,14 +144,6 @@ class SupervisorPolicy:
     item_timeout: Optional[float] = None
     #: Re-dispatches after the first attempt; past that, quarantine.
     max_retries: int = 2
-    #: Exponential backoff: ``base * factor**attempt``, plus jitter.
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    #: Jitter fraction; seeded per (item, attempt) so runs repeat.
-    backoff_jitter: float = 0.25
-    seed: int = 0
-    #: Parent poll granularity (result wait, watchdog checks).
-    poll_interval: float = 0.05
     #: Worker-site fault rules shipped to every worker (testing).
     fault_plan: Optional[FaultPlan] = None
     #: Signal-driven stop request (see :func:`graceful_shutdown`).
@@ -155,9 +163,9 @@ class SupervisorPolicy:
         return "stop requested"
 
     def backoff(self, item_index: int, attempt: int) -> float:
-        delay = self.backoff_base * (self.backoff_factor ** attempt)
-        jitter = Random(f"{self.seed}:{item_index}:{attempt}").random()
-        return delay * (1.0 + self.backoff_jitter * jitter)
+        delay = BACKOFF_BASE * (BACKOFF_FACTOR ** attempt)
+        jitter = Random(f"{BACKOFF_SEED}:{item_index}:{attempt}").random()
+        return delay * (1.0 + BACKOFF_JITTER * jitter)
 
 
 @dataclass
@@ -366,10 +374,8 @@ def _worker_main(config, conn) -> None:
         pass
     from . import parallel
     from ..lang.memo import make_room_for
-    from ..obs.progress import write_heartbeat
     parallel._init_worker(config)
     parallel._arm_worker_faults(config)
-    heartbeat_dir = getattr(config, "heartbeat_dir", None)
     while True:
         try:
             message = conn.recv()
@@ -380,13 +386,11 @@ def _worker_main(config, conn) -> None:
         index, attempt, item = message
         parallel._WORKER_ATTEMPT = attempt
         make_room_for(item.paths)
-        write_heartbeat(heartbeat_dir, index, attempt, "start")
         try:
             response = (index, "ok", parallel._execute_item(item, config))
         except Exception as exc:
             response = (index, "error", {
                 "error_type": type(exc).__name__, "message": str(exc)})
-        write_heartbeat(heartbeat_dir, index, attempt, "done")
         try:
             conn.send(response)
         except (BrokenPipeError, OSError):
@@ -455,8 +459,9 @@ def supervise_items(pending: list, config, jobs: int,
     ``quarantine_payload(item, error_type, message)`` and
     ``skipped_payload(item, note)`` build kind-aware degraded payloads
     for poisoned and interrupted items.  ``progress`` (a
-    :class:`repro.obs.progress.ProgressReporter`) receives throttled
-    ``tick`` calls from the poll loop and one final ``finish`` — pure
+    :class:`repro.obs.progress.ProgressReporter`) receives a ``tick``
+    from every pass of the poll loop, with the pool's size and how many
+    of its workers have held their item past :data:`STALL_AFTER` — pure
     stderr output, never an input to the analysis.  Raises
     :class:`SupervisorUnavailable` (before consuming any work) when no
     worker can be spawned, and :class:`WorkerFailure` when a worker
@@ -548,18 +553,21 @@ def supervise_items(pending: list, config, jobs: int,
             busy = [worker for worker in workers
                     if worker.current is not None]
             if progress is not None:
-                progress.tick(stats, busy=len(busy))
+                progress.tick(stats, busy=len(busy), workers=len(workers),
+                              stalled=sum(1 for worker in busy
+                                          if now - worker.started_at
+                                          > STALL_AFTER))
             if not busy:
                 if stopping or not unresolved:
                     break
                 if not queue:  # pragma: no cover - defensive
                     break
-                time.sleep(policy.poll_interval)  # everyone backing off
+                time.sleep(POLL_INTERVAL)  # everyone backing off
                 continue
             try:
                 ready = mp_connection.wait(
                     [worker.conn for worker in busy],
-                    timeout=policy.poll_interval)
+                    timeout=POLL_INTERVAL)
             except OSError:  # pragma: no cover - racing a dead pipe
                 ready = []
             now = time.monotonic()
@@ -602,5 +610,3 @@ def supervise_items(pending: list, config, jobs: int,
         for item in pending:
             if item.index in unresolved:
                 payloads[item.index] = skipped_payload(item, note)
-    if progress is not None:
-        progress.finish(stats)

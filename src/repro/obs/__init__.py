@@ -11,9 +11,12 @@ the engine can import us without cycles):
   (``mc-check explain``).
 
 :class:`Observation` is the parent-side run context the CLI builds from
-``--trace``/``--metrics-out`` and threads through
+``--trace``/``--metrics-out``/``--progress`` and threads through
 :func:`repro.mc.parallel.check_files` / ``metal_files``.  When it is
-``None`` (the default) no observability code runs at all.
+``None`` (the default) no observability code runs at all.  Its
+``--progress`` reporter (:mod:`repro.obs.progress`) keeps no files of
+its own: :func:`repro.mc.parallel._run_items` begins and finishes it
+once per run, and the supervisor reports its pool's liveness into it.
 """
 
 from __future__ import annotations
@@ -85,16 +88,11 @@ class Observation:
         if self.trace_path is not None:
             self.trace_dir = Path(tempfile.mkdtemp(prefix="mc-trace-"))
         self.progress = progress
-        self.heartbeat_dir: Optional[Path] = None
-        if progress is not None:
-            self.heartbeat_dir = Path(tempfile.mkdtemp(prefix="mc-hb-"))
-            progress.heartbeat_dir = str(self.heartbeat_dir)
         self._records: list[dict] = []
         self._t0 = time.time()
         self._w0 = time.perf_counter()
         self._c0 = time.process_time()
         self._item_total = 0
-        self._item_resolved = 0
         self.trace_stats: Optional[dict] = None
 
     # -- hooks called by the fleet driver ------------------------------------
@@ -103,21 +101,9 @@ class Observation:
     def worker_trace_dir(self) -> Optional[str]:
         return str(self.trace_dir) if self.trace_dir is not None else None
 
-    @property
-    def worker_heartbeat_dir(self) -> Optional[str]:
-        return (str(self.heartbeat_dir)
-                if self.heartbeat_dir is not None else None)
-
     def set_item_total(self, n: int) -> None:
         self._item_total = n
         self.metrics.inc("fleet.items", n)
-
-    def begin_pool(self, pending: int) -> None:
-        """The fleet is about to run ``pending`` items in the pool; the
-        rest of the total resolved parent-side."""
-        self._item_resolved = self._item_total - pending
-        if self.progress is not None:
-            self.progress.begin(self._item_total, self._item_resolved)
 
     def item_resolved(self, item, label: str, status: str) -> None:
         """Record an item that resolved parent-side (never ran a worker
@@ -225,11 +211,6 @@ class Observation:
             if self.trace_dir is not None:
                 shutil.rmtree(self.trace_dir, ignore_errors=True)
                 self.trace_dir = None
-        if self.heartbeat_dir is not None:
-            shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
-            self.heartbeat_dir = None
-            if self.progress is not None:
-                self.progress.heartbeat_dir = None
         snapshot = self.metrics.snapshot()
         if self.metrics_path is not None:
             import json

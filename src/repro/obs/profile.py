@@ -19,7 +19,7 @@ time go".  :func:`build_profile` folds a merged JSONL trace (see
   cannot beat;
 * **cache attribution** — how many items were served by the result
   cache / journal replay vs. freshly executed, plus the run's
-  ``cache.*`` and summary-hit counters.
+  ``cache.*`` counters.
 
 Correctness rule inherited from the supervisor: spans flagged
 ``orphan`` (attempt crashed before its item span closed) or
@@ -187,7 +187,7 @@ def build_profile(records: list[dict], top: int = 10) -> dict:
         kids = children.get(cursor.get("id") or "", [])
         cursor = max(kids, key=lambda r: r.get("wall", 0.0), default=None)
 
-    # -- cache / summary attribution ------------------------------------------
+    # -- cache attribution ----------------------------------------------------
     run_counters = (run_span or {}).get("counters") or {}
     cache = {
         "items_fresh": sum(1 for i in items
@@ -197,7 +197,7 @@ def build_profile(records: list[dict], top: int = 10) -> dict:
         cache[f"items_{status}"] = sum(
             1 for i in items if i.get("status") == status)
     for cname in sorted(run_counters):
-        if cname.startswith("cache.") or "summary" in cname:
+        if cname.startswith("cache."):
             value = run_counters[cname]
             if isinstance(value, (int, float)):
                 cache[cname] = value

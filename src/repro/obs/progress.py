@@ -1,14 +1,12 @@
-"""Live fleet health: ``--progress`` rendering and worker heartbeats.
+"""Live fleet health: ``--progress`` rendering.
 
-Two halves, glued by a directory of tiny JSONL files:
-
-* Workers call :func:`write_heartbeat` at item start/finish — one
-  appended line per event in ``<heartbeat-dir>/hb-<pid>.jsonl``.  Like
-  the tracer, a heartbeat failure never fails the analysis.
-* The parent's :class:`ProgressReporter` renders throttled status
-  lines to **stderr** (stdout stays reports-only, per the CLI
-  contract): items done, throughput, ETA, per-worker liveness from the
-  heartbeat files, and retry/quarantine counts.
+The parent's :class:`ProgressReporter` renders throttled status lines
+to **stderr** (stdout stays reports-only, per the CLI contract): items
+done, throughput, ETA, and retry/quarantine counts.  While the
+supervised pool runs, each line also shows worker liveness, which the
+supervisor reads off its own bookkeeping: the workers it holds, and
+how many have owned their item past
+:data:`repro.mc.supervisor.STALL_AFTER` — the watchdog's clock.
 
 Purity: progress output is stderr chatter computed *from* the run; it
 feeds nothing back in, so reports stay byte-identical with it on or
@@ -20,59 +18,11 @@ throttle deterministically.
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 import time
-from pathlib import Path
-from typing import Optional
 
 #: Minimum seconds between rendered progress lines.
 DEFAULT_INTERVAL = 1.0
-
-#: A worker whose last heartbeat is older than this (seconds) while it
-#: still owns an item is rendered as *stalled* — the human-facing twin
-#: of the supervisor's watchdog.
-STALL_AFTER = 10.0
-
-
-def write_heartbeat(heartbeat_dir: Optional[str], item: int, attempt: int,
-                    event: str) -> None:
-    """Append one heartbeat event from a worker process; never raises."""
-    if not heartbeat_dir:
-        return
-    try:
-        path = Path(heartbeat_dir) / f"hb-{os.getpid()}.jsonl"
-        with path.open("a") as fh:
-            fh.write(json.dumps(
-                {"pid": os.getpid(), "t": round(time.time(), 3),
-                 "item": item, "attempt": attempt, "event": event},
-                separators=(",", ":")) + "\n")
-            fh.flush()
-    except OSError:
-        pass
-
-
-def read_heartbeats(heartbeat_dir) -> dict[int, dict]:
-    """Latest event per worker pid, tolerant of truncated lines."""
-    latest: dict[int, dict] = {}
-    try:
-        paths = sorted(Path(heartbeat_dir).glob("hb-*.jsonl"))
-    except OSError:
-        return latest
-    for path in paths:
-        try:
-            text = path.read_text()
-        except OSError:
-            continue
-        for line in text.splitlines():
-            try:
-                obj = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(obj, dict) and isinstance(obj.get("pid"), int):
-                latest[obj["pid"]] = obj
-    return latest
 
 
 class ProgressReporter:
@@ -80,20 +30,16 @@ class ProgressReporter:
 
     ``begin(total, resolved)`` fixes the denominator (``resolved`` items
     never reach the pool: cache hits, journal replays, quarantines);
-    ``tick(stats, busy)`` is called from the supervisor's poll loop and
-    renders at most once per ``interval``; ``finish(stats)`` renders the
-    unconditional final line.
+    ``tick(stats, busy, workers, stalled)`` is called after each inline
+    item or from the supervisor's poll loop and renders at most once per
+    ``interval``; ``finish(stats)`` renders the unconditional final line.
     """
 
     def __init__(self, stream=None, interval: float = DEFAULT_INTERVAL,
-                 clock=time.monotonic,
-                 heartbeat_dir: Optional[str] = None,
-                 wall_clock=time.time):
+                 clock=time.monotonic):
         self.stream = stream if stream is not None else sys.stderr
         self.interval = interval
         self.clock = clock
-        self.wall_clock = wall_clock
-        self.heartbeat_dir = heartbeat_dir
         self.total = 0
         self.resolved = 0
         self._t0 = clock()
@@ -109,14 +55,18 @@ class ProgressReporter:
         self._render(done=resolved, busy=0, stats=None, final=False,
                      force=True)
 
-    def tick(self, stats, busy: int = 0) -> None:
-        """Throttled render; ``stats`` is the supervisor's RunStats."""
+    def tick(self, stats, busy: int = 0, workers: int = 0,
+             stalled: int = 0) -> None:
+        """Throttled render; ``stats`` is the supervisor's RunStats, and
+        ``workers`` the size of its pool (0 when items run inline), of
+        which ``stalled`` have held their item too long."""
         now = self.clock()
         if now - self._last_render < self.interval:
             return
         done = self.resolved + getattr(stats, "completed", 0) \
             + getattr(stats, "quarantined", 0)
-        self._render(done=done, busy=busy, stats=stats, final=False)
+        self._render(done=done, busy=busy, stats=stats, final=False,
+                     workers=workers, stalled=stalled)
 
     def finish(self, stats=None) -> None:
         done = self.resolved
@@ -129,28 +79,9 @@ class ProgressReporter:
 
     # -- rendering -----------------------------------------------------------
 
-    def _worker_health(self) -> Optional[str]:
-        if not self.heartbeat_dir:
-            return None
-        beats = read_heartbeats(self.heartbeat_dir)
-        if not beats:
-            return None
-        now = self.wall_clock()
-        live = 0
-        stalled = 0
-        for beat in beats.values():
-            if (beat.get("event") == "start"
-                    and now - beat.get("t", now) > STALL_AFTER):
-                stalled += 1
-            else:
-                live += 1
-        text = f"workers {live}/{len(beats)} live"
-        if stalled:
-            text += f" ({stalled} stalled)"
-        return text
-
     def _render(self, *, done: int, busy: int, stats, final: bool,
-                force: bool = False) -> None:
+                force: bool = False, workers: int = 0,
+                stalled: int = 0) -> None:
         now = self.clock()
         if not force and now - self._last_render < self.interval:
             return
@@ -171,9 +102,9 @@ class ProgressReporter:
                 parts.append(f"eta {remaining / rate:.0f}s")
             if busy:
                 parts.append(f"{busy} in flight")
-        health = self._worker_health()
-        if health:
-            parts.append(health)
+            if workers:
+                parts.append(f"workers {workers - stalled}/{workers} live"
+                             + (f" ({stalled} stalled)" if stalled else ""))
         if stats is not None:
             retried = getattr(stats, "retried", 0)
             quarantined = getattr(stats, "quarantined", 0)

@@ -1,28 +1,37 @@
-"""The naive path enumerator, kept as a test oracle.
+"""The engine's two test oracles: the unsliced walk and the naive
+path enumerator.
 
-``repro.mc.engine.run_machine`` memoizes on ``(block, state)`` pairs
+``repro.mc.engine.run_machine`` walks a checker-aware slice of the CFG
+(:mod:`repro.mc.summary`) and memoizes on ``(block, state)`` pairs
 (plus the feasibility store and the opaque flag), so exponentially many
-paths cost linear work.  This module keeps the walk that caching
-replaces, the way ``tests/reference_frontend.py`` keeps the old lexer
-and parser: every path is enumerated explicitly, with no state cache.
-It steps the unsliced paths oracle's :class:`_IdentitySlice`, so it is
-independent of the slicer too.
+paths cost linear work.  This module keeps what each of those replaces,
+the way ``tests/reference_frontend.py`` keeps the old lexer and parser:
 
-The property tests (``tests/test_property_fuzz.py``), the engine tests
-(``tests/test_mc_engine.py``), the feasibility tests
-(``tests/test_feasibility.py``) and the state-cache ablation benchmark
-(``benchmarks/bench_ablation_state_cache.py``) compare against it.
+* :func:`paths_oracle` makes ``run_machine`` walk the unsliced CFG
+  (:class:`_IdentitySlice`) for a block.  ``tests/test_engine_summary.py``
+  and ``tests/test_feasibility.py`` hold reports, suppressions,
+  provenance and confidence byte-identical between the two walks;
+* :func:`run_machine_naive` enumerates every path explicitly, with no
+  state cache, over the same identity slice, so it is independent of
+  the slicer too.  The property tests (``tests/test_property_fuzz.py``),
+  the engine tests (``tests/test_mc_engine.py``), the feasibility tests
+  (``tests/test_feasibility.py``) and the state-cache ablation
+  benchmark (``benchmarks/bench_ablation_state_cache.py``) compare
+  against it.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Optional
+from unittest import mock
 
 from repro.cfg import Cfg
+from repro.lang import ast
 from repro.mc import feasibility as _feas
+from repro.mc import summary
 from repro.mc.engine import (
     _PRUNED,
-    _IdentitySlice,
     _Run,
     _edge_state,
     _edge_store,
@@ -30,6 +39,51 @@ from repro.mc.engine import (
 )
 from repro.metal.runtime import ReportSink
 from repro.metal.sm import StateMachine
+
+
+class _IdentitySlice:
+    """The paths oracle's slice: every node of every event is stepped.
+
+    Independent of the slicer on purpose — nodes come from
+    ``event.walk()`` and opaque regions from its own scan, never from
+    :func:`repro.mc.summary.event_index` — and nothing is skipped: no
+    dead tails, no whole-function skip, no sliced-out nodes to charge.
+    """
+
+    full_skip = False
+
+    def __init__(self):
+        self._opaque: dict[int, bool] = {}
+
+    def candidates(self, event: ast.Node):
+        return event.walk()
+
+    def event_opaque(self, event: ast.Node) -> bool:
+        cached = self._opaque.get(id(event))
+        if cached is None:
+            cached = self._opaque[id(event)] = any(
+                isinstance(n, (ast.OpaqueStmt, ast.OpaqueExpr))
+                for n in event.walk())
+        return cached
+
+    def skipped_nodes(self, event: ast.Node) -> int:
+        return 0
+
+    def skip_edge(self, edge) -> bool:
+        return False
+
+
+def paths_oracle(enabled: bool = True):
+    """Switch ``run_machine`` to the unsliced paths walk for a block.
+
+    ``run_machine`` looks up ``repro.mc.summary.slice_for`` on every
+    call, so the patch reaches the checkers that import ``run_machine``
+    directly — in-process runs only (``--jobs 1``, the ``check_files``
+    default)."""
+    if not enabled:
+        return nullcontext()
+    return mock.patch.object(summary, "slice_for",
+                             lambda sm, cfg: _IdentitySlice())
 
 
 def run_machine_naive(sm: StateMachine, cfg: Cfg, sink: ReportSink,

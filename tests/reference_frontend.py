@@ -3,7 +3,7 @@
 ``repro.lang.lexer`` scans with one compiled master regex and
 ``repro.lang.parser`` parses binary operators by precedence climbing.
 This module keeps a plain, slower implementation of each, the way
-``repro.mc.engine._PATHS_ORACLE`` keeps the unsliced paths walk:
+``tests/reference_engine.py`` keeps the unsliced paths walk:
 
 * :class:`ReferenceLexer` moves one character per loop step, probes
   ``PUNCTUATION`` entry by entry with ``startswith``, and maps offsets

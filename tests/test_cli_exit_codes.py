@@ -391,8 +391,10 @@ class TestNumericFlagRanges:
     a ``ZeroDivisionError`` with exit 1 ("bugs found"), zero buffers
     report a leak deadlock before any handler runs, lanes that hold
     nothing "confirm" a lanes report, zero messages check nothing and
-    exit 0, and a negative fault-rule cap dies in a ``ValueError``
-    traceback."""
+    exit 0, a negative fault-rule cap dies in a ``ValueError``
+    traceback, ``history --limit 0`` lists no run in text but every run
+    in JSON, and a negative ``history --limit`` or ``profile --top``
+    slices from the wrong end."""
 
     @pytest.mark.parametrize("command, flag, bad, boundary", [
         ("check", "--min-confidence", "5", "1"),
@@ -411,6 +413,10 @@ class TestNumericFlagRanges:
         ("simulate", "--messages", "-1", "1"),
         ("simulate", "--max-hops", "-1", "0"),
         ("campaign", "--max-fault-rules", "-1", "0"),
+        ("history", "--limit", "0", "1"),
+        ("history", "--limit", "-1", "1"),
+        ("profile", "--top", "0", "1"),
+        ("profile", "--top", "-1", "1"),
     ])
     def test_out_of_range_value_is_a_usage_error(self, command, flag, bad,
                                                  boundary, racy_c, tmp_path):
@@ -423,6 +429,8 @@ class TestNumericFlagRanges:
             "simulate": [racy_c, "--dispatch", "1=Racy"],
             "campaign": [racy_c, "--dispatch", "1=Racy", "--runs", "2",
                          "--no-cache"],
+            "history": ["--cache-dir", str(tmp_path / "cache")],
+            "profile": ["--trace", str(tmp_path / "trace.jsonl")],
         }[command]
         proc = run_cli(command, *inputs, flag, bad)
         assert proc.returncode == 2, proc.stdout + proc.stderr

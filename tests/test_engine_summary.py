@@ -4,8 +4,8 @@ The engine's contract (docs/engine.md):
 
 - the sliced walk produces **byte-identical** reports, suppressions,
   provenance, and confidence to the unsliced paths oracle
-  (``repro.mc.engine._PATHS_ORACLE``, flipped here with
-  ``unittest.mock.patch.object``) — proved by direct differential
+  (``tests/reference_engine.paths_oracle``, which patches
+  ``repro.mc.summary.slice_for``) — proved by direct differential
   testing over generated handlers (property), the five paper protocols,
   and tolerant-frontend/opaque input;
 - a slice keeps the nodes a machine's patterns can match, drops the
@@ -23,7 +23,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -36,12 +35,13 @@ from repro.lang import ast, clear_memo, set_default_mode
 from repro.cli import main
 from repro.flash.spec import dump_spec
 from repro.mc import check_files, run_to_json, score_run, slice_for
-from repro.mc import engine
 from repro.mc.engine import run_machine
 from repro.mc.supervisor import RunJournal
 from repro.metal.runtime import ReportSink
 from repro.obs.metrics import MetricsRegistry, activate_metrics, format_metrics
 from repro.project import program_from_source
+
+from .reference_engine import paths_oracle
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -59,11 +59,6 @@ def run_cli(*argv, timeout=180, cache_dir=None):
         [sys.executable, "-m", "repro.cli", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
-
-
-def paths_oracle(enabled: bool = True):
-    """Switch ``run_machine`` to the unsliced paths walk for a block."""
-    return mock.patch.object(engine, "_PATHS_ORACLE", enabled)
 
 
 def _snapshot(sink: ReportSink):

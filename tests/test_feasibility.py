@@ -24,7 +24,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +44,6 @@ from repro.mc import (
     format_reports,
     score_run,
 )
-from repro.mc import engine as mc_engine
 from repro.mc.engine import run_machine
 from repro.mc.supervisor import RunJournal, SupervisorPolicy
 from repro.metal import StateMachine, lint_machine, lint_source
@@ -53,7 +51,7 @@ from repro.metal.runtime import ReportSink
 from repro.obs.metrics import MetricsRegistry, activate_metrics
 from repro.project import program_from_source
 
-from .reference_engine import run_machine_naive
+from .reference_engine import paths_oracle, run_machine_naive
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -103,8 +101,7 @@ def _reports(source: str, enabled: bool, engine: str = "summary"):
     """``engine="paths"`` runs the unsliced paths oracle."""
     previous = feasibility.set_default_enabled(enabled)
     try:
-        with mock.patch.object(mc_engine, "_PATHS_ORACLE",
-                               engine == "paths"):
+        with paths_oracle(engine == "paths"):
             return check_source(parse_metal(FIGURE_2), source)
     finally:
         feasibility.set_default_enabled(previous)

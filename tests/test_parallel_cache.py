@@ -119,6 +119,31 @@ class TestParallelMatchesSerial:
         two = check_files(two_files, jobs=2)
         assert _formatted(one.results) == _formatted(two.results)
 
+    def test_budgeted_metal_json_is_the_same_at_any_jobs(self, tmp_path,
+                                                          capsys):
+        # Each file explores under its own step budget, inline or in a
+        # worker, so a budget one racy handler fits in finds both.
+        from repro import cli
+        from repro.checkers.metal_sources import FIGURE_2
+        metal = tmp_path / "wait.metal"
+        metal.write_text(FIGURE_2)
+        files = []
+        for name in ("HandlerA", "HandlerC"):
+            path = tmp_path / f"{name}.c"
+            path.write_text(FILE_A.replace("HandlerA", name))
+            files.append(str(path))
+        docs = {}
+        for jobs in (1, 2):
+            code = cli.main(["metal", str(metal), *files, "--no-cache",
+                             "--budget-steps", "12", "--jobs", str(jobs),
+                             "--format", "json"])
+            doc = json.loads(capsys.readouterr().out)
+            assert code == 1 and doc.pop("jobs") == jobs
+            doc.pop("run_id")
+            docs[jobs] = doc
+        assert docs[1] == docs[2]
+        assert len(docs[1]["reports"]) == 2
+
     def test_merge_is_partition_independent(self):
         loc1 = Location("z.c", 9, 1)
         loc2 = Location("a.c", 2, 5)
@@ -478,4 +503,5 @@ class TestResolveJobsAndBudget:
         metal.write_text(FIGURE_2)
         run = metal_files(str(metal), two_files, budget_steps=1)
         assert any(sink.degraded for _p, sink in run.sinks)
-        assert run.budget is not None and run.budget.exhausted
+        assert any("budget exhausted" in note for _p, sink in run.sinks
+                   for note in sink.degradation_notes)

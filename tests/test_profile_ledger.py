@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,11 +45,7 @@ from repro.obs.ledger import (
     reports_from_doc,
 )
 from repro.obs.profile import build_profile, deterministic_view, format_profile
-from repro.obs.progress import (
-    ProgressReporter,
-    read_heartbeats,
-    write_heartbeat,
-)
+from repro.obs.progress import ProgressReporter
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -209,8 +206,7 @@ class TestProfile:
         run = span_record(
             span_id="run", parent=None, kind="run", name="mc-check",
             item=None, attempt=None, seq=0, t0=0.0, wall=1.0, cpu=1.0,
-            status="ok", counters={"cache.hits": 2, "summary.hits": 5},
-            attrs={})
+            status="ok", counters={"cache.hits": 2}, attrs={})
         profile = build_profile(
             [run, item("i0", "cached"), item("i1", "cached"),
              item("i2", "replayed"), item("i3", "ok")])
@@ -219,7 +215,6 @@ class TestProfile:
         assert cache["items_cached"] == 2
         assert cache["items_replayed"] == 1
         assert cache["cache.hits"] == 2
-        assert cache["summary.hits"] == 5
 
     def test_empty_trace_is_a_structured_error(self):
         with pytest.raises(ReproError, match="no usable spans"):
@@ -508,32 +503,38 @@ class TestProgressReporter:
         assert "5/5 items (100%)" in final
         assert "all resolved from cache" in final
 
-    def test_worker_liveness_from_heartbeats(self, tmp_path):
-        write_heartbeat(str(tmp_path), item=0, attempt=0, event="start")
-        write_heartbeat(str(tmp_path), item=0, attempt=0, event="done")
-        beats = read_heartbeats(tmp_path)
-        [beat] = beats.values()
-        assert beat["event"] == "done" and beat["item"] == 0
-
-        # Synthesize one live and one stalled worker.
-        (tmp_path / "hb-111.jsonl").write_text(
-            json.dumps({"pid": 111, "t": 100.0, "item": 1, "attempt": 0,
-                        "event": "start"}) + "\n")
-        (tmp_path / "hb-222.jsonl").write_text(
-            json.dumps({"pid": 222, "t": 199.0, "item": 2, "attempt": 0,
-                        "event": "start"}) + "\n{\"torn")
-        reporter, clock, stream = self._reporter(
-            heartbeat_dir=str(tmp_path), wall_clock=lambda: 200.0)
+    def test_worker_liveness_comes_from_the_pool(self):
+        reporter, clock, stream = self._reporter()
         reporter.begin(total=4, resolved=0)
-        line = stream.getvalue().splitlines()[-1]
-        assert "live" in line and "(1 stalled)" in line
+        clock.t = 2.0
+        stats = SimpleNamespace(completed=1, quarantined=0, retried=0)
+        reporter.tick(stats, busy=2, workers=2, stalled=1)
+        assert "workers 1/2 live (1 stalled)" in \
+            stream.getvalue().splitlines()[-1]
+        # The pool is gone by the final line, and inline runs have none.
+        reporter.finish(stats)
+        assert "workers" not in stream.getvalue().splitlines()[-1]
 
-    def test_heartbeat_writes_never_raise(self, tmp_path):
-        write_heartbeat(None, item=0, attempt=0, event="start")
-        blocker = tmp_path / "file"
-        blocker.write_text("x")
-        write_heartbeat(str(blocker), item=0, attempt=0, event="start")
-        assert read_heartbeats(tmp_path / "absent") == {}
+    def test_supervisor_reports_its_live_pool(self, two_files, monkeypatch):
+        # Every poll renders (interval 0).  Item 0's worker dies and is
+        # replaced, so the pool never holds more than --jobs workers;
+        # item 1's worker holds it past STALL_AFTER and shows stalled.
+        from repro.mc import supervisor
+        monkeypatch.setattr(supervisor, "STALL_AFTER", 0.2)
+        stream = io.StringIO()
+        observation = Observation(
+            progress=ProgressReporter(stream=stream, interval=0.0))
+        plan = FaultPlan(rules=(
+            FaultRule(site="worker_crash", after=0, count=1),
+            FaultRule(site="worker_slow", after=1, count=1, seconds=0.6)))
+        run = check_files(two_files, jobs=2, keep_going=True,
+                          policy=SupervisorPolicy(fault_plan=plan),
+                          observation=observation)
+        observation.finalize(run)
+        assert run.supervision.crashes == 1
+        pools = re.findall(r"workers \d+/(\d+) live", stream.getvalue())
+        assert pools and all(int(size) <= 2 for size in pools)
+        assert "/2 live (1 stalled)" in stream.getvalue()
 
 
 class TestProgressCLI:
@@ -552,6 +553,21 @@ class TestProgressCLI:
         assert json.dumps(plain_doc) == json.dumps(observed_doc)
         assert "progress(done):" in observed.stderr
         assert "progress" not in plain.stderr
+
+    def test_a_crashed_worker_is_not_counted(self, two_files, tmp_path):
+        plan = tmp_path / "crash.json"
+        plan.write_text(json.dumps(
+            {"rules": [{"site": "worker_crash", "after": 0, "count": 1}]}))
+        proc = run_cli("check", *two_files, "--no-cache", "--keep-going",
+                       "--jobs", "2", "--progress",
+                       "--fault-plan", str(plan),
+                       cache_dir=tmp_path / "cache")
+        [summary] = [line for line in proc.stdout.splitlines()
+                     if line.startswith("run:")]
+        assert "1 crash(es)" in summary, proc.stdout
+        pools = [int(m) for m in
+                 re.findall(r"workers \d+/(\d+) live", proc.stderr)]
+        assert all(size <= 2 for size in pools), proc.stderr
 
 
 # -- hardening: corrupt inputs fail structured --------------------------------

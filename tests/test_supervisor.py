@@ -433,8 +433,10 @@ class TestJournalAndResume:
         assert run.supervision.completed > 0
         assert run.supervision.replayed < total_items
 
-    def test_serial_step_budgeted_metal_disables_journal(self, two_files,
-                                                         tmp_path):
+    def test_serial_step_budgeted_metal_keeps_journal(self, two_files,
+                                                      tmp_path):
+        # Each file has its own step budget at any --jobs, so a serial
+        # budgeted run is journaled and resumable like any other.
         from repro.checkers.metal_sources import FIGURE_2
         metal = tmp_path / "wait.metal"
         metal.write_text(FIGURE_2)
@@ -443,9 +445,9 @@ class TestJournalAndResume:
         run = metal_files(str(metal), two_files, jobs=1, budget_steps=10**6,
                           journal=journal)
         journal.close()
-        assert run.run_id is None  # journal was dropped, run not resumable
+        assert run.run_id == journal.run_id
         lines = (runs / f"{journal.run_id}.jsonl").read_text().splitlines()
-        assert len(lines) == 1
+        assert len(lines) == 1 + len(two_files)  # header + a key per file
 
 
 class TestCacheHardening:
